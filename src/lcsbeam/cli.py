@@ -42,7 +42,6 @@ from .probability import (
     DomainError,
     NumericMode,
     build_table,
-    get_kernel,
     prob_beta_sum,
     prob_closed,
     prob_closed_product,
@@ -85,6 +84,7 @@ def resolve_heuristic(name: str, family: Family) -> HeuristicSpec:
 def run_named_heuristic(
     instance: Instance, desc: DatasetDescriptor, name: str, config_kw: dict
 ) -> RunReport:
+    config_kw = dict(config_kw)
     family = config_kw.pop("family", desc.family)
     if "beta" in config_kw and "beta_h" in config_kw:
         config_kw["beta_h"] = min(config_kw["beta_h"], config_kw["beta"])
@@ -292,17 +292,12 @@ def cmd_sweep(args) -> int:
                 rows.append(_sweep_row(entry, None, name, None, error=str(exc)))
             continue
         for name in heuristics:
-            report = run_named_heuristic(
-                inst,
-                desc,
-                name,
-                {
-                    "family": desc.family,
-                    "beta": args.beta,
-                    "beta_h": args.beta_h,
-                    "dominance_filter": args.dominance_filter,
-                },
-            )
+            try:
+                report = _run_manifest_entry(inst, desc, name, args)
+            except (CapacityError, DomainError) as exc:
+                any_failed = True
+                rows.append(_sweep_row(entry, desc, name, None, error=str(exc)))
+                continue
             per_heuristic[name].append(report)
             rows.append(_sweep_row(entry, desc, name, report))
     for name in heuristics:
@@ -324,6 +319,20 @@ def cmd_sweep(args) -> int:
         )
     _write_csv(args.out, SWEEP_COLUMNS + ["status"], rows)
     return EXIT_PARTIAL if any_failed else EXIT_OK
+
+
+def _run_manifest_entry(inst, desc, name, args) -> RunReport:
+    return run_named_heuristic(
+        inst,
+        desc,
+        name,
+        {
+            "family": desc.family,
+            "beta": args.beta,
+            "beta_h": args.beta_h,
+            "dominance_filter": args.dominance_filter,
+        },
+    )
 
 
 def _sweep_row(entry, desc, heuristic, report, error=None) -> dict:
@@ -450,22 +459,16 @@ def cmd_timing(args) -> int:
             print(f"warning: skipping entry: {exc}", file=sys.stderr)
             any_failed = True
             continue
-        get_kernel(inst.sigma_size, inst.max_len)  # excluded from timings
         for name in heuristics:
-            times = []
-            for _ in range(args.repeats):
-                report = run_named_heuristic(
-                    inst,
-                    desc,
-                    name,
-                    {
-                        "family": desc.family,
-                        "beta": args.beta,
-                        "beta_h": args.beta_h,
-                        "dominance_filter": args.dominance_filter,
-                    },
-                )
-                times.append(report.wall_time * 1000)
+            try:
+                times = [
+                    _run_manifest_entry(inst, desc, name, args).wall_time * 1000
+                    for _ in range(args.repeats)
+                ]
+            except (CapacityError, DomainError) as exc:
+                print(f"warning: skipping {name} on {desc.name}: {exc}", file=sys.stderr)
+                any_failed = True
+                continue
             rows.append(
                 {"n": desc.n_strings, "heuristic": name, "ms": repr(statistics.median(times))}
             )

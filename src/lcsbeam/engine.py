@@ -4,7 +4,15 @@ Each level expands every feasible single-symbol extension of every beam
 node, scores the children under the configured heuristic, and keeps the
 best `beta` of them.  Children are ranked by (score desc, cursor vector
 lex asc); the fixed tie policy makes runs reproducible across machines.
-The longest solution seen anywhere in the run is returned.
+Only the children scoring at or above the beta-th best score are sorted;
+ties among them still break by cursor vector, lexicographically
+ascending.  The longest solution seen anywhere in the run is returned.
+
+With `dominance_filter`, children with equal cursor vectors are merged.
+A cursor vector fixes its score within a level (every heuristic reads
+only the remainders and, for gcov, the suffix counts at the cursors), so
+after one full rank the copies of a vector sit next to each other and
+the first of each run survives.
 
 The wrapper trial-runs two heuristics at a reduced width and replays the
 winner (first one on ties) at full width.
@@ -185,14 +193,10 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
         all_scores = np.concatenate(scores)
         nodes_expanded += len(all_scores)
 
-        if config.dominance_filter and len(all_cursors) > 1:
-            keep = _merge_duplicates(all_cursors, all_scores)
-            all_cursors = all_cursors[keep]
-            all_parents = all_parents[keep]
-            all_codes = all_codes[keep]
-            all_scores = all_scores[keep]
-
-        order = _rank(all_scores, all_cursors)[:beta]
+        if config.dominance_filter:
+            order = _merge_duplicates(all_cursors, all_scores)[:beta]
+        else:
+            order = _rank(all_scores, all_cursors, beta)
         beam = all_cursors[order]
         arena.append((all_parents[order], all_codes[order]))
         levels += 1
@@ -213,17 +217,37 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     return report
 
 
-def _rank(scores: np.ndarray, cursors: np.ndarray) -> np.ndarray:
-    """Indices ordered by score descending, cursor vector lex ascending."""
+def _rank(scores: np.ndarray, cursors: np.ndarray, top: int) -> np.ndarray:
+    """The first `top` indices by score descending, cursor vector lex ascending.
+
+    Only rows scoring at or above the top-th best score can be among the
+    first `top`, so only those are sorted; `top` >= the row count sorts all.
+    """
+    neg = -scores
+    if top >= len(neg):
+        return _lex_order(neg, cursors)
+    cutoff = np.partition(neg, top - 1)[top - 1]
+    # not `neg <= cutoff`: a NaN cutoff must keep every row, as the full sort would
+    rows = np.flatnonzero(~(neg > cutoff))
+    return rows[_lex_order(neg[rows], cursors[rows])[:top]]
+
+
+def _lex_order(neg_scores: np.ndarray, cursors: np.ndarray) -> np.ndarray:
     keys = tuple(cursors[:, i] for i in range(cursors.shape[1] - 1, -1, -1))
-    return np.lexsort(keys + (-scores,))
+    return np.lexsort(keys + (neg_scores,))
 
 
 def _merge_duplicates(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Keep one child per distinct cursor vector, preferring the best score."""
-    order = _rank(scores, cursors)
-    _, first = np.unique(cursors[order], axis=0, return_index=True)
-    return np.sort(order[first])
+    """Indices of one child per distinct cursor vector, in rank order.
+
+    Copies of a vector share its score, so after the full rank they are
+    adjacent and the first of each run is the one kept.
+    """
+    order = _rank(scores, cursors, len(scores))
+    ranked = cursors[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order[first]
 
 
 def _walk_arena(instance: Instance, arena) -> str:

@@ -7,13 +7,25 @@ import math
 
 import pytest
 
-from lcsbeam.cli import EXIT_DATASET, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main, resolve_heuristic
+from lcsbeam.cli import (
+    EXIT_DATASET,
+    EXIT_OK,
+    EXIT_PARTIAL,
+    EXIT_USAGE,
+    main,
+    resolve_heuristic,
+    run_named_heuristic,
+)
 from lcsbeam.datasets import Family
 from lcsbeam.engine import BeamConfig, beam_search, verify_solution
 from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
 from lcsbeam.datasets import gen_uncorrelated
 
 WORKED_FILE = "2 3\nABC\n8 BCABAABC\n8 CAACBBAA\n"
+
+# The table budget is read only when a kernel is built, so this entry's
+# (sigma, len) pair must not be shared with any other test's kernel.
+REFUSED_ENTRY = "gen: uncorr sigma=7 n=2 len=23 seed=5\n"
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +61,13 @@ class TestFamilyResolution:
             resolve_heuristic("kguess", Family.CORRELATED).kind
             is HeuristicKind.PROB_K_GUESS
         )
+
+    def test_run_named_heuristic_leaves_caller_dict(self):
+        inst, desc = gen_uncorrelated(4, 3, 30, 1)
+        config_kw = {"family": Family.CORRELATED, "beta": 5, "beta_h": 60}
+        before = dict(config_kw)
+        run_named_heuristic(inst, desc, "hh", config_kw)
+        assert config_kw == before
 
 
 class TestSolve:
@@ -224,6 +243,24 @@ class TestSweep:
         assert len(failed) == 1
         assert failed[0]["length"] == ""
 
+    def test_solver_error_is_a_row(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.001")
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(REFUSED_ENTRY)
+        out_csv = tmp_path / "out.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--manifest", str(manifest), "--heuristics", "minlen,kanalytic",
+            "--out", str(out_csv), "--beta", "5",
+        )
+        assert code == EXIT_PARTIAL
+        rows = {r["heuristic"]: r for r in read_csv(out_csv) if r["dataset"] != "average"}
+        assert rows["minlen"]["status"] == "ok"
+        assert int(rows["minlen"]["length"]) >= 0
+        assert rows["kanalytic"]["status"].startswith("error: table for n_max=23")
+        assert rows["kanalytic"]["length"] == ""
+        averages = [r["heuristic"] for r in read_csv(out_csv) if r["dataset"] == "average"]
+        assert averages == ["minlen"]
+
     def test_file_entries(self, capsys, tmp_path):
         data = tmp_path / "worked.txt"
         data.write_text(WORKED_FILE)
@@ -323,6 +360,19 @@ class TestTiming:
         assert [r["heuristic"] for r in rows] == ["minlen", "kanalytic"]
         assert all(float(r["ms"]) >= 0 for r in rows)
         assert rows[0]["n"] == "3"
+
+    def test_solver_error_skips_heuristic(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.001")
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(REFUSED_ENTRY)
+        code, out, err = run_cli(
+            capsys, "timing", "--manifest", str(manifest),
+            "--heuristics", "kanalytic,minlen", "--repeats", "1", "--beta", "5",
+        )
+        assert code == EXIT_PARTIAL
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["heuristic"] for r in rows] == ["minlen"]
+        assert "skipping kanalytic" in err
 
 
 class TestOracleCommand:

@@ -1,0 +1,106 @@
+"""Top-beta ranking and duplicate merging against the full-sort reference.
+
+`ref_rank` and `ref_merge_duplicates` are the plain form of the engine's
+selection: a lexsort of every child on all cursor columns plus the
+score, and a merge that ranks, runs `np.unique(axis=0)` and ranks again.
+The engine partitions to the beta-th score and merges adjacent rows
+after one rank; these properties hold it to the same order.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lcsbeam import engine
+from lcsbeam.engine import BeamConfig, _merge_duplicates, _rank, beam_search
+from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
+from lcsbeam.instance import build_instance
+
+
+def ref_rank(scores: np.ndarray, cursors: np.ndarray) -> np.ndarray:
+    """Indices ordered by score descending, cursor vector lex ascending."""
+    keys = tuple(cursors[:, i] for i in range(cursors.shape[1] - 1, -1, -1))
+    return np.lexsort(keys + (-scores,))
+
+
+def ref_merge_duplicates(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Keep one child per distinct cursor vector, preferring the best score."""
+    order = ref_rank(scores, cursors)
+    _, first = np.unique(cursors[order], axis=0, return_index=True)
+    return np.sort(order[first])
+
+
+def ref_survivors(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The reference merge's survivors, in the reference rank order."""
+    keep = ref_merge_duplicates(cursors, scores)
+    return keep[ref_rank(scores[keep], cursors[keep])]
+
+
+# few values, so ties are common; 0.0 and -0.0 compare equal
+SCORE_VALUES = [0.0, -0.0, 1.0, -1.5, 2.5, -np.inf]
+
+
+@st.composite
+def level_arrays(draw):
+    """Cursor rows over a small range, so duplicate rows are common."""
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, 2), min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.int32).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(level_arrays(), st.data())
+def test_rank_is_prefix_of_full_sort(cursors, data):
+    scores = np.array(
+        data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=len(cursors),
+                           max_size=len(cursors)))
+    )
+    full = ref_rank(scores, cursors)
+    for top in range(1, len(cursors) + 3):
+        assert np.array_equal(_rank(scores, cursors, top), full[:top])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(level_arrays(), st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=8))
+def test_merge_matches_reference_survivors(cursors, palette):
+    # in the engine a cursor vector fixes its score within a level
+    _, inverse = np.unique(cursors, axis=0, return_inverse=True)
+    scores = np.array(palette)[inverse.ravel() % len(palette)]
+    assert np.array_equal(_merge_duplicates(cursors, scores), ref_survivors(cursors, scores))
+
+
+def _ref_rank_top(scores, cursors, top):
+    return ref_rank(scores, cursors)[:top]
+
+
+KINDS = [
+    HeuristicKind.MINLEN,
+    HeuristicKind.PROB_K_GUESS,
+    HeuristicKind.PROB_K_ANALYTIC_UNCORR,
+    HeuristicKind.PROB_K_ANALYTIC_CORR,
+    HeuristicKind.GCOV,
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.text("ABC", min_size=1, max_size=14), min_size=2, max_size=4),
+    st.sampled_from(KINDS),
+    st.integers(1, 8),
+    st.booleans(),
+)
+def test_beam_search_matches_reference_selection(strings, kind, beta, merge):
+    inst = build_instance("ABC", strings)
+    config = BeamConfig(
+        heuristic=HeuristicSpec(kind=kind), beta=beta, beta_h=1, dominance_filter=merge
+    )
+    new = beam_search(inst, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_rank", _ref_rank_top)
+        mp.setattr(engine, "_merge_duplicates", ref_survivors)
+        ref = beam_search(inst, config)
+    assert (new.solution, new.levels, new.nodes_expanded) == (
+        ref.solution, ref.levels, ref.nodes_expanded
+    )
