@@ -286,7 +286,7 @@ def cmd_sweep(args) -> int:
     for entry in entries:
         try:
             inst, desc = _materialize(entry)
-        except DatasetError as exc:
+        except (DatasetError, CapacityError) as exc:
             any_failed = True
             for name in heuristics:
                 rows.append(_sweep_row(entry, None, name, None, error=str(exc)))
@@ -455,7 +455,7 @@ def cmd_timing(args) -> int:
     for entry in entries:
         try:
             inst, desc = _materialize(entry)
-        except DatasetError as exc:
+        except (DatasetError, CapacityError) as exc:
             print(f"warning: skipping entry: {exc}", file=sys.stderr)
             any_failed = True
             continue

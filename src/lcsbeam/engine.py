@@ -131,7 +131,8 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     spec = config.heuristic
     kernel: ProbKernel | None = None
     if spec.kind.uses_probability:
-        # built outside the timed section; shared and cached per process
+        # its O(max_len) lookup is built outside the timed section; the
+        # per-level rows are built inside it
         kernel = get_kernel(instance.sigma_size, instance.max_len)
     gamma = spec.gamma(instance.n_strings)
 

@@ -6,6 +6,9 @@ lookup tables per string:
 - next occurrence: first index >= pos holding a given symbol
 - suffix count:    occurrences of a given symbol in the suffix from pos
 
+Both tables are checked against the memory budget of
+``probability.check_budget`` before they are allocated.
+
 Search nodes are cursor vectors (one index per string) plus a parent
 chain; the remainder strings are implicit.  Symbols are mapped to small
 integer codes internally so the tables are flat arrays.
@@ -16,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .probability import check_budget
 
 # Sentinel for "symbol does not occur at or after pos"; large enough to
 # stay distinguishable after the +1 cursor advance.
@@ -64,6 +69,10 @@ class Instance:
 
     def _build_tables(self):
         n, sigma, width = self.n_strings, self.sigma_size, self.max_len + 1
+        check_budget(
+            2 * n * width * sigma * np.dtype(np.int32).itemsize,
+            f"instance tables for N={n}, max_len={self.max_len}, sigma={sigma}",
+        )
         nxt = np.full((n, width, sigma), NO_OCCURRENCE, dtype=np.int32)
         cnt = np.zeros((n, width, sigma), dtype=np.int32)
         for i, s in enumerate(self.strings):

@@ -3,18 +3,23 @@
 Everything here evaluates p(k, n): the probability that a fixed symbol
 sequence of length k occurs as a subsequence of a uniformly random string
 of length n over an alphabet of a given size.  The same quantity is
-computed by four mutually verifying routes:
+computed by five mutually verifying routes:
 
 - ``build_table``          recurrence-driven dynamic-programming grid
 - ``prob_closed``          direct summation of the closed form
 - ``prob_closed_product``  closed form with an incrementally accumulated
                            term product (no explicit binomials)
 - ``prob_beta_sum``        weighted sum of Beta density values
+- ``ProbKernel.log_row``   the binomial tail P(Binomial(n, 1/sigma) >= k),
+                           one k row at a time in log space
 
 ``q_value`` evaluates the rescaled tail q(k, n) = (1 - p) / beta^(n-k+1),
 a plain binomial-weighted sum used for picking the target length k in the
-search heuristics.  ``cross_validate`` runs all four routes over a grid
+search heuristics.  ``cross_validate`` runs all five routes over a grid
 and reports the worst pairwise disagreement.
+
+The search engine scores with ``ProbKernel`` rows only: it needs one k
+per level, so no (n_max+1)^2 grid is built on the search path.
 
 Numeric modes: LINEAR sums terms directly, LOGSPACE goes through
 log-sum-exp (safe for large n or large alphabets), EXACT_RATIONAL keeps
@@ -25,13 +30,12 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 
 class CapacityError(Exception):
@@ -48,7 +52,11 @@ _DEFAULT_BUDGET_MB = 512.0
 EXACT_N_CAP = 500  # largest grid the exact-rational recurrence will build
 
 
-def _table_budget_bytes() -> int:
+def check_budget(need: int, what: str) -> None:
+    """Raise CapacityError if `need` bytes for `what` exceed the budget.
+
+    Callers check before they allocate, so a refusal costs no memory.
+    """
     raw = os.environ.get(TABLE_BUDGET_ENV)
     mb = _DEFAULT_BUDGET_MB
     if raw is not None:
@@ -56,7 +64,12 @@ def _table_budget_bytes() -> int:
             mb = float(raw)
         except ValueError:
             raise CapacityError(f"{TABLE_BUDGET_ENV} is not a number: {raw!r}")
-    return int(mb * 1024 * 1024)
+    budget = int(mb * 1024 * 1024)
+    if need > budget:
+        raise CapacityError(
+            f"{what}: {need / 2**20:.1f} MiB needed, "
+            f"budget is {budget / 2**20:.1f} MiB (set {TABLE_BUDGET_ENV})"
+        )
 
 
 @dataclass(frozen=True)
@@ -88,6 +101,7 @@ class Method(Enum):
     CLOSED_FORM = "closed"
     CLOSED_FORM_II = "closed2"
     BETA_FORM = "beta"
+    BINOMIAL = "binomial"
 
 
 class NumericMode(Enum):
@@ -124,16 +138,6 @@ class ProbTable:
         return float(self.values[k, n])
 
 
-def _check_budget(n_max: int, tables: int = 1) -> None:
-    need = tables * (n_max + 1) * (n_max + 1) * 8
-    budget = _table_budget_bytes()
-    if need > budget:
-        raise CapacityError(
-            f"table for n_max={n_max} needs {need / 2**20:.1f} MiB, "
-            f"budget is {budget / 2**20:.1f} MiB (set {TABLE_BUDGET_ENV})"
-        )
-
-
 def build_table(sigma_size: int, n_max: int) -> ProbTable:
     """Fill the p(k, n) grid from the two-term recurrence.
 
@@ -143,7 +147,7 @@ def build_table(sigma_size: int, n_max: int) -> ProbTable:
     params = AlphabetParams(sigma_size)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    _check_budget(n_max)
+    check_budget((n_max + 1) ** 2 * 8, f"table for n_max={n_max}")
     size = n_max + 1
     vals = np.zeros((size, size))
     vals[0, :] = 1.0
@@ -157,14 +161,14 @@ def build_table(sigma_size: int, n_max: int) -> ProbTable:
 def build_log_table(sigma_size: int, n_max: int) -> np.ndarray:
     """Same recurrence carried in log space; returns ln p(k, n).
 
-    Cells with k > n hold -inf.  This is the representation the beam engine
-    scores against, since linear p underflows long before n reaches the
+    Cells with k > n hold -inf.  The reference the engine's ``ProbKernel``
+    rows are tested against; linear p underflows long before n reaches the
     benchmark string lengths.
     """
     params = AlphabetParams(sigma_size)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    _check_budget(n_max)
+    check_budget((n_max + 1) ** 2 * 8, f"table for n_max={n_max}")
     size = n_max + 1
     log_vals = np.full((size, size), -np.inf)
     log_vals[0, :] = 0.0
@@ -539,18 +543,21 @@ class CrossValidationReport:
 def cross_validate(
     sigma_size: int, n_max: int, tolerance: float = 1e-9
 ) -> CrossValidationReport:
-    """Evaluate all four routes over the grid and compare them pairwise.
+    """Evaluate all five routes over the grid and compare them pairwise.
 
     The tabular route runs in exact rationals (ground truth); the closed
-    form runs through log space; the product and Beta-sum forms run linear.
+    form runs through log space; the product and Beta-sum forms run linear;
+    the binomial route stacks the search engine's own kernel rows.
     """
     if n_max > EXACT_N_CAP:
         raise CapacityError(f"cross-validation grid capped at n_max={EXACT_N_CAP}")
+    kernel = ProbKernel(sigma_size, n_max)
     grids = {
         Method.TABULAR_DP: exact_float_grid(sigma_size, n_max),
         Method.CLOSED_FORM: closed_grid(sigma_size, n_max, NumericMode.LOGSPACE),
         Method.CLOSED_FORM_II: closed_product_grid(sigma_size, n_max),
         Method.BETA_FORM: beta_sum_grid(sigma_size, n_max),
+        Method.BINOMIAL: np.exp([kernel.log_row(k) for k in range(n_max + 1)]),
     }
     names = list(grids)
     devs = {}
@@ -571,56 +578,77 @@ def cross_validate(
 
 
 # --------------------------------------------------------------------------
-# cached kernel for the search engine
+# row kernel for the search engine
 # --------------------------------------------------------------------------
 
 
 class ProbKernel:
-    """Cached ln p(k, n) lookup for one (alphabet size, n_max) pair."""
+    """ln p(k, n) for one (alphabet size, n_max) pair, one k row at a time.
+
+    A row comes from the closed form p(k, n) = P(Binomial(n, alpha) >= k):
+    the k-th match falls at some position m <= n, which has probability
+    C(m-1, k-1) alpha^k beta^(m-k), so ln p(k, n) is a running log-sum of
+    those terms over m = k..n.  Only an O(n_max) log-gamma lookup and the
+    last row are kept, so memory does not grow with n_max squared.
+    """
 
     def __init__(self, sigma_size: int, n_max: int):
+        if n_max < 0:
+            raise DomainError(f"n_max must be >= 0, got {n_max}")
         self.params = AlphabetParams(sigma_size)
         self.n_max = n_max
-        self.log_values = build_log_table(sigma_size, n_max)
-        self.log_values.setflags(write=False)
+        self._gammaln = gammaln(np.arange(n_max + 2))  # [j] = ln (j-1)!
+        # (k, row) of the last row built; one tuple so that a thread reading
+        # it never pairs one k with another k's row
+        self._last: tuple[int, np.ndarray] | None = None
 
     def log_p(self, k: int, n: int) -> float:
         if k == 0:
             return 0.0
         if k > n:
             return -math.inf
-        return float(self.log_values[k, n])
+        return float(self.log_row(k)[n])
 
     def log_row(self, k: int) -> np.ndarray:
-        """ln p(k, n) for all n at once; -inf row when k exceeds the table."""
+        """Read-only ln p(k, n) for n = 0..n_max; all -inf when k > n_max.
+
+        The engine asks for the same k across many calls in a row, so the
+        last row is kept and handed out again.
+        """
+        last = self._last
+        if last is not None and last[0] == k:
+            return last[1]
+        row = self._build_row(k)
+        row.setflags(write=False)
+        self._last = (k, row)
+        return row
+
+    def _build_row(self, k: int) -> np.ndarray:
+        if k < 0:
+            raise DomainError(f"k must be >= 0, got {k}")
+        row = np.full(self.n_max + 1, -np.inf)
+        if k == 0 or self.params.degenerate:
+            # p(0, n) = 1; single-letter strings contain every shorter pattern
+            row[k:] = 0.0
+            return row
         if k > self.n_max:
-            return np.full(self.n_max + 1, -np.inf)
-        return self.log_values[k]
+            return row
+        m = np.arange(k, self.n_max + 1)
+        lg = self._gammaln
+        terms = (
+            k * math.log(self.params.alpha)
+            + (m - k) * math.log(self.params.beta)
+            + (lg[m] - lg[k] - lg[m - k + 1])
+        )
+        np.logaddexp.accumulate(terms, out=row[k:])
+        # float noise in the saturated region can nudge ln p above 0
+        np.minimum(row, 0.0, out=row)
+        return row
 
     def p(self, k: int, n: int) -> float:
         return math.exp(self.log_p(k, n))
 
 
-_kernel_cache: dict[tuple[int, int], ProbKernel] = {}
-_kernel_locks: dict[tuple[int, int], threading.Lock] = {}
-_cache_guard = threading.Lock()
-
-
 def get_kernel(sigma_size: int, n_max: int) -> ProbKernel:
-    """Process-lifetime kernel cache; builds once per (sigma, n_max) key.
-
-    Distinct keys may build concurrently; readers of a published kernel
-    never block.
-    """
-    key = (sigma_size, n_max)
-    kernel = _kernel_cache.get(key)
-    if kernel is not None:
-        return kernel
-    with _cache_guard:
-        lock = _kernel_locks.setdefault(key, threading.Lock())
-    with lock:
-        kernel = _kernel_cache.get(key)
-        if kernel is None:
-            kernel = ProbKernel(sigma_size, n_max)
-            _kernel_cache[key] = kernel
-    return kernel
+    """The kernel the engine scores with; a new one per call, nothing cached."""
+    return ProbKernel(sigma_size, n_max)

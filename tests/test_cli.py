@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from lcsbeam import cli
 from lcsbeam.cli import (
     EXIT_DATASET,
     EXIT_OK,
@@ -20,12 +21,33 @@ from lcsbeam.datasets import Family
 from lcsbeam.engine import BeamConfig, beam_search, verify_solution
 from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
 from lcsbeam.datasets import gen_uncorrelated
+from lcsbeam.probability import CapacityError
 
 WORKED_FILE = "2 3\nABC\n8 BCABAABC\n8 CAACBBAA\n"
 
-# The table budget is read only when a kernel is built, so this entry's
-# (sigma, len) pair must not be shared with any other test's kernel.
+# An entry whose probability-scored solves `refuse_probability_solves` makes
+# fail with CapacityError, while minlen still solves it.
 REFUSED_ENTRY = "gen: uncorr sigma=7 n=2 len=23 seed=5\n"
+REFUSAL = "refused by the test"
+
+# Under a 0.01 MiB budget the first entry's instance tables fit (1.3 KiB)
+# and the second's (62.8 KiB) are refused before they are built.
+BUDGET_MANIFEST = (
+    "gen: uncorr sigma=4 n=2 len=20 seed=1\n"
+    "gen: uncorr sigma=4 n=10 len=200 seed=1\n"
+)
+
+
+def refuse_probability_solves(monkeypatch):
+    """Make the CLI's solves raise CapacityError for probability heuristics."""
+    real = cli.beam_search
+
+    def refusing(instance, config, width=None):
+        if config.heuristic.kind.uses_probability:
+            raise CapacityError(REFUSAL)
+        return real(instance, config, width)
+
+    monkeypatch.setattr(cli, "beam_search", refusing)
 
 
 def run_cli(capsys, *argv):
@@ -244,7 +266,7 @@ class TestSweep:
         assert failed[0]["length"] == ""
 
     def test_solver_error_is_a_row(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.001")
+        refuse_probability_solves(monkeypatch)
         manifest = tmp_path / "m.txt"
         manifest.write_text(REFUSED_ENTRY)
         out_csv = tmp_path / "out.csv"
@@ -256,10 +278,28 @@ class TestSweep:
         rows = {r["heuristic"]: r for r in read_csv(out_csv) if r["dataset"] != "average"}
         assert rows["minlen"]["status"] == "ok"
         assert int(rows["minlen"]["length"]) >= 0
-        assert rows["kanalytic"]["status"].startswith("error: table for n_max=23")
+        assert rows["kanalytic"]["status"].startswith(f"error: {REFUSAL}")
         assert rows["kanalytic"]["length"] == ""
         averages = [r["heuristic"] for r in read_csv(out_csv) if r["dataset"] == "average"]
         assert averages == ["minlen"]
+
+    def test_refused_instance_is_a_row(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.01")
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(BUDGET_MANIFEST)
+        out_csv = tmp_path / "out.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--manifest", str(manifest), "--heuristics", "minlen,gcov",
+            "--out", str(out_csv), "--beta", "5",
+        )
+        assert code == EXIT_PARTIAL
+        rows = [r for r in read_csv(out_csv) if r["dataset"] != "average"]
+        assert [(r["n"], r["status"]) for r in rows[:2]] == [("2", "ok"), ("2", "ok")]
+        assert [r["heuristic"] for r in rows[2:]] == ["minlen", "gcov"]
+        for row in rows[2:]:
+            assert row["n"] == "10"
+            assert row["status"].startswith("error: instance tables for N=10, max_len=200")
+            assert row["length"] == ""
 
     def test_file_entries(self, capsys, tmp_path):
         data = tmp_path / "worked.txt"
@@ -362,7 +402,7 @@ class TestTiming:
         assert rows[0]["n"] == "3"
 
     def test_solver_error_skips_heuristic(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.001")
+        refuse_probability_solves(monkeypatch)
         manifest = tmp_path / "m.txt"
         manifest.write_text(REFUSED_ENTRY)
         code, out, err = run_cli(
@@ -373,6 +413,19 @@ class TestTiming:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["heuristic"] for r in rows] == ["minlen"]
         assert "skipping kanalytic" in err
+
+    def test_refused_instance_is_skipped(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.01")
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(BUDGET_MANIFEST)
+        code, out, err = run_cli(
+            capsys, "timing", "--manifest", str(manifest),
+            "--heuristics", "minlen", "--repeats", "1", "--beta", "5",
+        )
+        assert code == EXIT_PARTIAL
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["n"], r["heuristic"]) for r in rows] == [("2", "minlen")]
+        assert "skipping entry: instance tables for N=10, max_len=200" in err
 
 
 class TestOracleCommand:

@@ -139,6 +139,17 @@ class TestBeamSearch:
             BeamConfig(heuristic=MINLEN, tie_break="random")
 
 
+class TestLongInstances:
+    def test_probability_score_needs_no_quadratic_table(self, monkeypatch):
+        # a dense ln p table for max_len=9000 would take 618 MiB, over the
+        # default 512 MiB budget; the kernel builds one row per level instead
+        monkeypatch.delenv("LCSBEAM_TABLE_BUDGET_MB", raising=False)
+        inst, _ = gen_uncorrelated(20, 10, 9000, 1)
+        report = beam_search(inst, cfg(UNCORR, beta=1))
+        assert report.verified
+        assert report.length > 0
+
+
 class TestHyperHeuristic:
     def test_tie_prefers_first(self):
         # identical heuristics force equal probes; the first must win

@@ -8,6 +8,7 @@ import pytest
 
 from lcsbeam.instance import NO_OCCURRENCE, build_instance, reconstruct_solution
 from lcsbeam.oracle import exact_lcs2, exact_lcs3
+from lcsbeam.probability import CapacityError
 
 
 @pytest.fixture
@@ -50,6 +51,18 @@ class TestBuild:
     def test_rejects_foreign_symbols(self):
         with pytest.raises(ValueError):
             build_instance("AB", ["AB", "ABX"])
+
+    def test_tables_over_budget_are_refused(self, monkeypatch):
+        # 2 tables x 10 strings x 5001 positions x 2 symbols x 4 bytes
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.5")
+        with pytest.raises(
+            CapacityError,
+            match=r"instance tables for N=10, max_len=5000, sigma=2: 0\.8 MiB needed, "
+            r"budget is 0\.5 MiB",
+        ):
+            build_instance("AB", ["AB" * 2500] * 10)
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
+        assert build_instance("AB", ["AB" * 2500] * 10).max_len == 5000
 
     def test_rejects_duplicate_alphabet(self):
         with pytest.raises(ValueError):

@@ -2,17 +2,21 @@
 
 Expected values were frozen from independent oracles: exhaustive
 enumeration over all sigma^n strings for small cases, and exact rational
-arithmetic for identities.  The four evaluation routes are checked
+arithmetic for identities.  The five evaluation routes are checked
 against each other and against those oracles.
 """
 
 import itertools
 import math
+import sys
 import threading
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsbeam.probability import (
     AlphabetParams,
@@ -226,6 +230,7 @@ class TestCrossValidation:
         report = cross_validate(4, 50, 1e-9)
         assert report.passed
         assert report.max_deviation <= 1e-9
+        assert report.deviations[("table", "binomial")] <= 1e-9
 
     def test_sigma2(self):
         assert cross_validate(2, 50, 1e-9).passed
@@ -303,22 +308,58 @@ class TestLogTable:
         assert kern.log_p(5, 3) == -math.inf
         assert kern.p(2, 3) == pytest.approx(0.15625, abs=1e-12)
         assert kern.log_row(200).min() == -math.inf  # beyond the table
+        with pytest.raises(DomainError):
+            kern.log_row(-1)
 
-    def test_cache_returns_same_object(self):
-        a = get_kernel(7, 64)
-        b = get_kernel(7, 64)
-        assert a is b
+class TestKernelRows:
+    """`ProbKernel` rows from the binomial tail against the table and mpmath."""
 
-    def test_concurrent_access(self):
-        results = []
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.integers(1, 30), n_max=st.integers(0, 300), data=st.data())
+    def test_matches_log_table(self, sigma, n_max, data):
+        k = data.draw(st.integers(0, n_max + 2), label="k")
+        row = ProbKernel(sigma, n_max).log_row(k)
+        want = build_log_table(sigma, n_max)[k] if k <= n_max else np.full(n_max + 1, -np.inf)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(row), finite)
+        err = np.abs(row[finite] - want[finite])
+        assert np.all(err <= 1e-10 * np.maximum(1.0, np.abs(want[finite])))
+        assert not (row > 0.0).any()
 
-        def worker():
-            results.append(get_kernel(9, 128))
+    @pytest.mark.parametrize(
+        "sigma,k", [(4, 2500), (4, 3000), (4, 5000), (4, 10_000), (20, 500), (20, 2000)]
+    )
+    def test_matches_mpmath_beyond_any_table(self, sigma, k):
+        # P(Binomial(n, a) >= k) is the regularized incomplete beta I_a(k, n-k+1)
+        n = 10_000
+        with mpmath.workdps(30):
+            tail = mpmath.betainc(k, n - k + 1, 0, mpmath.mpf(1) / sigma, regularized=True)
+            want = float(mpmath.log(tail))
+        got = ProbKernel(sigma, n).log_p(k, n)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r is results[0] for r in results)
-        assert results[0].log_values.flags.writeable is False
+    def test_shared_kernel_across_threads(self):
+        kernel = get_kernel(9, 2000)
+        ks = [0, 1, 50, 200, 222, 1999, 2001]
+        expected = {k: ProbKernel(9, 2000).log_row(k).copy() for k in ks}
+        failures = []
+
+        def worker(offset):
+            for i in range(200):
+                k = ks[(i + offset) % len(ks)]
+                row = kernel.log_row(k)
+                if row.flags.writeable or not np.array_equal(row, expected[k]):
+                    failures.append((offset, k))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
