@@ -10,7 +10,8 @@ Subcommands:
     oracle   exact LCS of a small instance (spot checks)
 
 Exit codes: 0 success, 1 partial sweep failure, 2 flag/usage errors,
-3 dataset errors.  All generator-backed runs require an explicit --seed.
+3 dataset errors and allocations refused by the memory budget.  All
+generator-backed runs require an explicit --seed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .datasets import (
@@ -32,7 +34,7 @@ from .datasets import (
     load_fasta,
     load_plain,
 )
-from .engine import BeamConfig, RunReport, beam_search, hyper_heuristic, verify_solution
+from .engine import BeamConfig, RunReport, beam_search, hyper_heuristic
 from .heuristics import HeuristicKind, HeuristicSpec
 from .instance import Instance
 from .oracle import BudgetError, exact_lcs2, exact_lcs3, exhaustive_lcs
@@ -41,11 +43,11 @@ from .probability import (
     CapacityError,
     DomainError,
     NumericMode,
-    build_table,
     prob_beta_sum,
     prob_closed,
     prob_closed_product,
     q_value,
+    table_column,
 )
 
 EXIT_OK = 0
@@ -104,40 +106,37 @@ def run_named_heuristic(
 
 
 def _load_from_flags(args) -> tuple[Instance, DatasetDescriptor]:
+    """The instance named by the dataset flags; --family overrides its family."""
     if args.input and args.gen:
         raise UsageError("--input and --gen are mutually exclusive")
-    family = Family(args.family) if args.family else None
     if args.input:
         if args.format == "fasta":
             inst, desc = load_fasta(args.input, args.alphabet, truncate=args.truncate)
         else:
             inst, desc = load_plain(args.input)
-        if family is not None:
-            desc = DatasetDescriptor(
-                name=desc.name,
-                family=family,
-                sigma_size=desc.sigma_size,
-                n_strings=desc.n_strings,
-                lengths=desc.lengths,
-                source=desc.source,
-                generator=desc.generator,
-            )
-        return inst, desc
-    if args.gen:
+    elif args.gen:
         if args.seed is None:
             raise UsageError("generator-backed runs require an explicit --seed")
         if args.sigma is None or args.n is None or args.len is None:
             raise UsageError("--gen requires --sigma, --n and --len")
         if args.gen == "uncorr":
-            return gen_uncorrelated(args.sigma, args.n, args.len, args.seed)
-        return gen_correlated(args.sigma, args.n, args.len, args.rate, args.seed)
-    raise UsageError("one of --input or --gen is required")
-
-
-def _family_override(desc: DatasetDescriptor, args) -> Family:
+            inst, desc = gen_uncorrelated(args.sigma, args.n, args.len, args.seed)
+        else:
+            inst, desc = gen_correlated(args.sigma, args.n, args.len, args.rate, args.seed)
+    else:
+        raise UsageError("one of --input or --gen is required")
     if args.family:
-        return Family(args.family)
-    return desc.family
+        desc = replace(desc, family=Family(args.family))
+    return inst, desc
+
+
+def _search_kw(args) -> dict:
+    """BeamConfig keywords from --beta, --beta-h and --dominance-filter."""
+    return {
+        "beta": args.beta,
+        "beta_h": min(args.beta_h, args.beta),
+        "dominance_filter": args.dominance_filter,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +146,6 @@ def _family_override(desc: DatasetDescriptor, args) -> Family:
 
 def cmd_solve(args) -> int:
     inst, desc = _load_from_flags(args)
-    family = _family_override(desc, args)
     if args.heuristic_config:
         try:
             spec = HeuristicSpec.from_dict(json.loads(Path(args.heuristic_config).read_text()))
@@ -155,37 +153,19 @@ def cmd_solve(args) -> int:
             raise DatasetError(f"cannot read heuristic config: {exc}")
         except (KeyError, ValueError, TypeError) as exc:
             raise UsageError(f"bad heuristic config: {exc}")
-        config = BeamConfig(
-            heuristic=spec,
-            beta=args.beta,
-            beta_h=min(args.beta_h, args.beta),
-            dominance_filter=args.dominance_filter,
-        )
-        report = beam_search(inst, config)
+        report = beam_search(inst, BeamConfig(heuristic=spec, **_search_kw(args)))
     else:
-        report = run_named_heuristic(
-            inst,
-            desc,
-            args.heuristic,
-            {
-                "family": family,
-                "beta": args.beta,
-                "beta_h": args.beta_h,
-                "dominance_filter": args.dominance_filter,
-            },
-        )
-    if not verify_solution(inst, report.solution):
-        raise AssertionError("solution failed verification")  # engine guards this
+        report = run_named_heuristic(inst, desc, args.heuristic, _search_kw(args))
     label = args.heuristic if not args.heuristic_config else report.config["heuristic"]["kind"]
     payload = report.to_dict()
     payload["dataset"] = desc.to_dict()
-    payload["family"] = family.value
+    payload["family"] = desc.family.value
     payload["heuristic_flag"] = label
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"dataset:    {desc.name}")
-        print(f"heuristic:  {label} (family={family.value})")
+        print(f"heuristic:  {label} (family={desc.family.value})")
         if report.chosen_heuristic:
             print(f"chosen:     {report.chosen_heuristic} probes={report.probe_lengths}")
         print(f"length:     {report.length}")
@@ -274,34 +254,53 @@ def _materialize(entry: dict) -> tuple[Instance, DatasetDescriptor]:
 # --------------------------------------------------------------------------
 
 
-def cmd_sweep(args) -> int:
+def _manifest_solves(args, repeats: int = 1):
+    """Load each --manifest entry and solve it with each --heuristics name.
+
+    Yields (entry, desc, load_error, outcomes) per entry.  `outcomes`
+    holds one (name, reports, error) per heuristic, with `repeats` reports
+    or the error that refused the solve.  An entry that cannot be loaded
+    has desc None and every outcome carries its load error.
+    """
     entries = parse_manifest(args.manifest)
     heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
     for name in heuristics:
         if name not in HEURISTIC_CHOICES:
             raise UsageError(f"unknown heuristic {name!r} in --heuristics")
-    rows = []
-    any_failed = False
-    per_heuristic: dict[str, list[RunReport]] = {h: [] for h in heuristics}
     for entry in entries:
         try:
             inst, desc = _materialize(entry)
         except (DatasetError, CapacityError) as exc:
-            any_failed = True
-            for name in heuristics:
-                rows.append(_sweep_row(entry, None, name, None, error=str(exc)))
+            yield entry, None, exc, [(name, None, exc) for name in heuristics]
             continue
+        outcomes = []
         for name in heuristics:
             try:
-                report = _run_manifest_entry(inst, desc, name, args)
+                reports = [
+                    run_named_heuristic(inst, desc, name, _search_kw(args))
+                    for _ in range(repeats)
+                ]
             except (CapacityError, DomainError) as exc:
+                outcomes.append((name, None, exc))
+            else:
+                outcomes.append((name, reports, None))
+        yield entry, desc, None, outcomes
+
+
+def cmd_sweep(args) -> int:
+    rows = []
+    any_failed = False
+    per_heuristic: dict[str, list[RunReport]] = {}
+    for entry, desc, _, outcomes in _manifest_solves(args):
+        for name, reports, error in outcomes:
+            done = per_heuristic.setdefault(name, [])
+            if error is not None:
                 any_failed = True
-                rows.append(_sweep_row(entry, desc, name, None, error=str(exc)))
+                rows.append(_sweep_row(entry, desc, name, None, error=str(error)))
                 continue
-            per_heuristic[name].append(report)
-            rows.append(_sweep_row(entry, desc, name, report))
-    for name in heuristics:
-        reports = per_heuristic[name]
+            done.append(reports[0])
+            rows.append(_sweep_row(entry, desc, name, reports[0]))
+    for name, reports in per_heuristic.items():
         if not reports:
             continue
         rows.append(
@@ -319,20 +318,6 @@ def cmd_sweep(args) -> int:
         )
     _write_csv(args.out, SWEEP_COLUMNS + ["status"], rows)
     return EXIT_PARTIAL if any_failed else EXIT_OK
-
-
-def _run_manifest_entry(inst, desc, name, args) -> RunReport:
-    return run_named_heuristic(
-        inst,
-        desc,
-        name,
-        {
-            "family": desc.family,
-            "beta": args.beta,
-            "beta_h": args.beta_h,
-            "dominance_filter": args.dominance_filter,
-        },
-    )
 
 
 def _sweep_row(entry, desc, heuristic, report, error=None) -> dict:
@@ -392,9 +377,9 @@ def cmd_probe(args) -> int:
     lo, hi = _parse_range(args.k_range)
     params = AlphabetParams(args.sigma)
     rows = []
-    table = None
+    column = None
     if not args.q and args.method == "table":
-        table = build_table(args.sigma, args.n)
+        column = table_column(args.sigma, args.n, hi)
     for k in range(lo, hi + 1):
         if args.q:
             if k == 0:
@@ -402,7 +387,7 @@ def cmd_probe(args) -> int:
             else:
                 value = math.exp(q_value(k, args.n, params, NumericMode.LOGSPACE))
         elif args.method == "table":
-            value = table.p(k, args.n)
+            value = column[k]
         elif args.method == "closed":
             value = prob_closed(k, args.n, params)
         elif args.method == "closed2":
@@ -427,12 +412,7 @@ def cmd_ksweep(args) -> int:
     rows = []
     for k in range(lo, hi + 1, args.k_step):
         spec = HeuristicSpec(kind=HeuristicKind.PROB_K_GUESS, fixed_k=k)
-        config = BeamConfig(
-            heuristic=spec,
-            beta=args.beta,
-            beta_h=min(args.beta, 60),
-            dominance_filter=args.dominance_filter,
-        )
+        config = BeamConfig(heuristic=spec, beta=args.beta, dominance_filter=args.dominance_filter)
         report = beam_search(inst, config)
         rows.append({"k": k, "length": report.length})
     _write_csv(args.out, ["k", "length"], rows)
@@ -445,30 +425,19 @@ def cmd_ksweep(args) -> int:
 
 
 def cmd_timing(args) -> int:
-    entries = parse_manifest(args.manifest)
-    heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
-    for name in heuristics:
-        if name not in HEURISTIC_CHOICES:
-            raise UsageError(f"unknown heuristic {name!r} in --heuristics")
     rows = []
     any_failed = False
-    for entry in entries:
-        try:
-            inst, desc = _materialize(entry)
-        except (DatasetError, CapacityError) as exc:
-            print(f"warning: skipping entry: {exc}", file=sys.stderr)
+    for _, desc, load_error, outcomes in _manifest_solves(args, args.repeats):
+        if load_error is not None:
+            print(f"warning: skipping entry: {load_error}", file=sys.stderr)
             any_failed = True
             continue
-        for name in heuristics:
-            try:
-                times = [
-                    _run_manifest_entry(inst, desc, name, args).wall_time * 1000
-                    for _ in range(args.repeats)
-                ]
-            except (CapacityError, DomainError) as exc:
-                print(f"warning: skipping {name} on {desc.name}: {exc}", file=sys.stderr)
+        for name, reports, error in outcomes:
+            if error is not None:
+                print(f"warning: skipping {name} on {desc.name}: {error}", file=sys.stderr)
                 any_failed = True
                 continue
+            times = [r.wall_time * 1000 for r in reports]
             rows.append(
                 {"n": desc.n_strings, "heuristic": name, "ms": repr(statistics.median(times))}
             )
@@ -610,7 +579,10 @@ def main(argv=None) -> int:
     except (DatasetError, BudgetError) as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATASET
-    except (DomainError, CapacityError) as exc:
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_DATASET
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

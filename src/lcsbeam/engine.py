@@ -17,15 +17,19 @@ the first of each run survives.
 The wrapper trial-runs two heuristics at a reduced width and replays the
 winner (first one on ties) at full width.
 
-Internally a level is a set of numpy arrays (cursors, parent indices,
-chosen symbols); per-level parent/symbol arrays form the arena that the
+Internally a level is one set of numpy arrays (cursors, parent indices,
+chosen symbols), gathered from the next-occurrence table in one step and
+scored in one call.  Its children are listed symbol-major, then by
+parent, and the rank sort is stable: children equal in score and cursor
+vector share their last symbol, so among them the lower parent index
+ranks first.  Per-level parent/symbol arrays form the arena that the
 final solution is reconstructed from.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +44,9 @@ from .heuristics import (
 from .instance import NO_OCCURRENCE, Instance
 from .probability import ProbKernel, get_kernel
 
+# Ties in score rank by cursor vector, lexicographically ascending.
+TIE_BREAK = "cursor-lex"
+
 
 @dataclass(frozen=True)
 class BeamConfig:
@@ -47,7 +54,6 @@ class BeamConfig:
     beta: int = 200
     beta_h: int | None = None  # defaults to min(60, beta)
     dominance_filter: bool = False
-    tie_break: str = "cursor-lex"
 
     def __post_init__(self):
         if self.beta < 1:
@@ -58,15 +64,13 @@ class BeamConfig:
             raise ValueError(
                 f"probe width must be in [1, beta], got {self.beta_h} (beta={self.beta})"
             )
-        if self.tie_break != "cursor-lex":
-            raise ValueError(f"unknown tie-break policy {self.tie_break!r}")
 
     def to_dict(self) -> dict:
         return {
             "beta": self.beta,
             "beta_h": self.beta_h,
             "dominance_filter": self.dominance_filter,
-            "tie_break": self.tie_break,
+            "tie_break": TIE_BREAK,
             "heuristic": self.heuristic.to_dict(),
         }
 
@@ -141,6 +145,7 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     lengths = instance.lengths[None, :]
     row_idx = np.arange(n)[None, :]
     next_table = instance.next_table
+    suffix_table = instance.suffix_table
 
     t0 = time.perf_counter()
     beam = np.zeros((1, n), dtype=np.int32)
@@ -149,57 +154,47 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     nodes_expanded = 0
 
     while True:
-        blocks = []  # (symbol code, parent indices, child cursors)
-        for code in range(sigma):
-            nxt = next_table[row_idx, beam, code]  # (B, N)
-            feasible = (nxt != NO_OCCURRENCE).all(axis=1)
-            if feasible.any():
-                blocks.append(
-                    (code, np.nonzero(feasible)[0], nxt[feasible] + 1)
-                )
-        if not blocks:
+        nxt = next_table[row_idx, beam]  # (B, N, sigma)
+        feasible = (nxt != NO_OCCURRENCE).all(axis=1)  # (B, sigma)
+        codes, parents = np.nonzero(feasible.T)  # symbol-major, then parent
+        if len(codes) == 0:
             break
+        cursors = nxt[parents, :, codes]  # (children, N)
+        cursors += 1
+        del nxt  # not needed past here; frees its memory before scoring
+        remainders = lengths - cursors
 
-        remainders = [lengths - cursors for _, _, cursors in blocks]
-        k = None
-        if spec.kind.uses_probability:
+        if spec.kind is HeuristicKind.MINLEN:
+            scores = score_minlen_batch(remainders)
+        elif spec.kind is HeuristicKind.GCOV:
+            # gathered in slices of len(beam) rows, so the (rows, N, sigma)
+            # temporary is no larger than one symbol's block of children
+            ubs = np.empty(len(cursors), dtype=np.int64)
+            step = len(beam)
+            for start in range(0, len(cursors), step):
+                counts = suffix_table[row_idx, cursors[start : start + step]]
+                ubs[start : start + step] = counts.min(axis=1).sum(axis=1)
+            scores = score_gcov_batch(remainders, ubs, gamma)
+        else:
             if spec.fixed_k is not None:
                 k = spec.fixed_k
             else:
-                lo = min(int(r.min()) for r in remainders)
-                hi = max(int(r.max()) for r in remainders)
-                k = select_k(spec, lo, hi, sigma, n)
+                lo = int(remainders.min())
+                k = select_k(spec, lo, int(remainders.max()), sigma, n)
                 # cap at the smallest remainder of the level so every child
                 # is scored with the same finite k; letting k overshoot any
                 # remainder sends scores to -inf and erases the ranking
                 # signal exactly when the endgame needs it
                 k = max(1, min(k, lo))
-
-        scores = []
-        for (_, _, cursors), rem in zip(blocks, remainders):
-            if spec.kind is HeuristicKind.MINLEN:
-                scores.append(score_minlen_batch(rem))
-            elif spec.kind is HeuristicKind.GCOV:
-                counts = instance.suffix_table[row_idx, cursors]  # (B, N, sigma)
-                ubs = counts.min(axis=1).sum(axis=1)
-                scores.append(score_gcov_batch(rem, ubs, gamma))
-            else:
-                scores.append(score_prob_batch(rem, k, kernel))
-
-        all_cursors = np.concatenate([b[2] for b in blocks])
-        all_parents = np.concatenate([b[1] for b in blocks])
-        all_codes = np.concatenate(
-            [np.full(len(b[1]), b[0], dtype=np.int16) for b in blocks]
-        )
-        all_scores = np.concatenate(scores)
-        nodes_expanded += len(all_scores)
+            scores = score_prob_batch(remainders, k, kernel)
+        nodes_expanded += len(scores)
 
         if config.dominance_filter:
-            order = _merge_duplicates(all_cursors, all_scores)[:beta]
+            order = _merge_duplicates(cursors, scores)[:beta]
         else:
-            order = _rank(all_scores, all_cursors, beta)
-        beam = all_cursors[order]
-        arena.append((all_parents[order], all_codes[order]))
+            order = _rank(scores, cursors, beta)
+        beam = cursors[order]
+        arena.append((parents[order], codes[order].astype(np.int16)))
         levels += 1
 
     wall = time.perf_counter() - t0
@@ -274,22 +269,13 @@ def hyper_heuristic(
     report records both probe lengths and which heuristic ran at full
     width; its wall time covers the winning full-width run only.
     """
-    probe1 = beam_search(instance, _with_heuristic(config, hf1), width=config.beta_h)
-    probe2 = beam_search(instance, _with_heuristic(config, hf2), width=config.beta_h)
+    probe1 = beam_search(instance, replace(config, heuristic=hf1), width=config.beta_h)
+    probe2 = beam_search(instance, replace(config, heuristic=hf2), width=config.beta_h)
     winner = hf1 if probe1.length >= probe2.length else hf2
-    final = beam_search(instance, _with_heuristic(config, winner))
+    final = beam_search(instance, replace(config, heuristic=winner))
     final.chosen_heuristic = winner.kind.value
     final.probe_lengths = (probe1.length, probe2.length)
     final.config = config.to_dict()
     final.config["hyper_heuristics"] = [hf1.to_dict(), hf2.to_dict()]
     return final
 
-
-def _with_heuristic(config: BeamConfig, spec: HeuristicSpec) -> BeamConfig:
-    return BeamConfig(
-        heuristic=spec,
-        beta=config.beta,
-        beta_h=config.beta_h,
-        dominance_filter=config.dominance_filter,
-        tie_break=config.tie_break,
-    )

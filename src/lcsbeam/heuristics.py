@@ -171,7 +171,7 @@ def score_minlen(instance: Instance, state: NodeState) -> Score:
 
 
 # --------------------------------------------------------------------------
-# vectorised variants used by the engine (one call per level per symbol)
+# vectorised variants used by the engine (one call per level)
 # --------------------------------------------------------------------------
 
 

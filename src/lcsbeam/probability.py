@@ -158,6 +158,24 @@ def build_table(sigma_size: int, n_max: int) -> ProbTable:
     return ProbTable(sigma_size=sigma_size, n_max=n_max, values=vals)
 
 
+def table_column(sigma_size: int, n: int, k_max: int) -> np.ndarray:
+    """p(k, n) for k = 0..k_max from the recurrence of ``build_table``.
+
+    Cell (k, n) reads only cells with k' <= k, so one vector over k <= k_max
+    carried from column 0 to column n holds exactly the values of
+    ``build_table(sigma_size, n).values[:k_max + 1, n]`` in O(k_max) memory.
+    """
+    params = AlphabetParams(sigma_size)
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    col = np.zeros(k_max + 1)
+    col[0] = 1.0
+    for m in range(1, n + 1):
+        top = min(m, k_max)
+        col[1 : top + 1] = params.alpha * col[0:top] + params.beta * col[1 : top + 1]
+    return col
+
+
 def build_log_table(sigma_size: int, n_max: int) -> np.ndarray:
     """Same recurrence carried in log space; returns ln p(k, n).
 

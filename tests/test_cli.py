@@ -186,6 +186,15 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--input", "/nonexistent/x.txt")
         assert code == EXIT_DATASET
 
+    def test_refused_instance_is_capacity_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.001")
+        code, _, err = run_cli(
+            capsys, "solve", "--gen", "uncorr", "--sigma", "4", "--n", "10", "--len", "200",
+            "--seed", "1", "--heuristic", "minlen",
+        )
+        assert code == EXIT_DATASET
+        assert err.startswith("capacity error: instance tables for N=10")
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--bogus"])
@@ -345,6 +354,21 @@ class TestProbe:
                 abs(a - b) for a, b in zip(outputs["table"], outputs[method])
             ]
             assert max(diffs) <= 1e-9
+
+    def test_table_method_needs_one_column(self, capsys, monkeypatch):
+        # the full (n+1)^2 grid for n = 9000 is over the default budget
+        monkeypatch.delenv("LCSBEAM_TABLE_BUDGET_MB", raising=False)
+        outputs = {}
+        for method in ("table", "closed"):
+            code, out, _ = run_cli(
+                capsys, "probe", "--sigma", "4", "--n", "9000", "--k-range", "1:2",
+                "--method", method,
+            )
+            assert code == EXIT_OK
+            outputs[method] = [float(r["value"]) for r in csv.DictReader(io.StringIO(out))]
+        assert len(outputs["table"]) == 2
+        for a, b in zip(outputs["table"], outputs["closed"]):
+            assert abs(a - b) <= 1e-9
 
     def test_beta_point_value(self, capsys):
         code, out, _ = run_cli(

@@ -135,8 +135,12 @@ class TestBeamSearch:
             BeamConfig(heuristic=MINLEN, beta=0)
         with pytest.raises(ValueError):
             BeamConfig(heuristic=MINLEN, beta=10, beta_h=20)
-        with pytest.raises(ValueError):
+        # the tie policy is fixed, not a field
+        with pytest.raises(TypeError):
             BeamConfig(heuristic=MINLEN, tie_break="random")
+        inst = build_instance("ABC", ["BCABAABC", "CAACBBAA"])
+        report = beam_search(inst, BeamConfig(heuristic=MINLEN, beta=2))
+        assert report.config["tie_break"] == "cursor-lex"
 
 
 class TestLongInstances:

@@ -39,6 +39,7 @@ from lcsbeam.probability import (
     prob_closed,
     prob_closed_product,
     q_value,
+    table_column,
 )
 
 
@@ -104,6 +105,14 @@ class TestBuildTable:
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.001")
         with pytest.raises(CapacityError):
             build_table(4, 1000)
+
+    @pytest.mark.parametrize("sigma", [2, 4, 20])
+    def test_column_is_bitwise_table_column(self, sigma):
+        values = build_table(sigma, 200).values
+        for n in range(201):
+            for k_max in {0, 5, n, min(n + 3, 200), 200}:
+                column = table_column(sigma, n, k_max)
+                assert np.array_equal(column, values[: k_max + 1, n])
 
     def test_single_letter_alphabet(self):
         t = build_table(1, 4)
