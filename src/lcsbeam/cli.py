@@ -167,7 +167,11 @@ def cmd_solve(args) -> int:
         print(f"dataset:    {desc.name}")
         print(f"heuristic:  {label} (family={desc.family.value})")
         if report.chosen_heuristic:
-            print(f"chosen:     {report.chosen_heuristic} probes={report.probe_lengths}")
+            probe_ms = tuple(round(t * 1000, 3) for t in report.probe_wall_times)
+            print(
+                f"chosen:     {report.chosen_heuristic} probes={report.probe_lengths}"
+                f" probe_ms={probe_ms}"
+            )
         print(f"length:     {report.length}")
         print(f"solution:   {report.solution}")
         print(f"levels:     {report.levels}")

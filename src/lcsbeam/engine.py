@@ -19,11 +19,15 @@ winner (first one on ties) at full width.
 
 Internally a level is one set of numpy arrays (cursors, parent indices,
 chosen symbols), gathered from the next-occurrence table in one step and
-scored in one call.  Its children are listed symbol-major, then by
-parent, and the rank sort is stable: children equal in score and cursor
-vector share their last symbol, so among them the lower parent index
-ranks first.  Per-level parent/symbol arrays form the arena that the
-final solution is reconstructed from.
+scored in one call.  The gather is one `take` of whole rows from the
+table viewed as (N * (max_len + 1), sigma).  The gcov occurrence bound
+is a running minimum over the strings of each child's suffix counts,
+one (children, sigma) block at a time, and a probability score reads
+its p(k, .) row only up to the level's longest remainder.  Its children
+are listed symbol-major, then by parent, and the rank sort is stable:
+children equal in score and cursor vector share their last symbol, so
+among them the lower parent index ranks first.  Per-level parent/symbol
+arrays form the arena that the final solution is reconstructed from.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class RunReport:
     config: dict = field(default_factory=dict)
     chosen_heuristic: str | None = None
     probe_lengths: tuple[int, int] | None = None
+    probe_wall_times: tuple[float, float] | None = None
     verified: bool = False
 
     def to_dict(self) -> dict:
@@ -99,12 +104,14 @@ class RunReport:
             "config": self.config,
             "chosen_heuristic": self.chosen_heuristic,
             "probe_lengths": list(self.probe_lengths) if self.probe_lengths else None,
+            "probe_wall_times": list(self.probe_wall_times) if self.probe_wall_times else None,
             "verified": self.verified,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
         probe = d.get("probe_lengths")
+        probe_times = d.get("probe_wall_times")
         return cls(
             solution=d["solution"],
             length=d["length"],
@@ -114,6 +121,7 @@ class RunReport:
             config=d.get("config", {}),
             chosen_heuristic=d.get("chosen_heuristic"),
             probe_lengths=tuple(probe) if probe else None,
+            probe_wall_times=tuple(probe_times) if probe_times else None,
             verified=d.get("verified", False),
         )
 
@@ -143,8 +151,11 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     n = instance.n_strings
     sigma = instance.sigma_size
     lengths = instance.lengths[None, :]
-    row_idx = np.arange(n)[None, :]
-    next_table = instance.next_table
+    # string i's rows of the next table start at i * (max_len + 1) once it is
+    # flattened (a view); intp, so beam + offsets cannot overflow int32
+    stride = instance.max_len + 1
+    offsets = np.arange(n, dtype=np.intp) * stride
+    flat_next = instance.next_table.reshape(n * stride, sigma)
     suffix_table = instance.suffix_table
 
     t0 = time.perf_counter()
@@ -154,7 +165,7 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     nodes_expanded = 0
 
     while True:
-        nxt = next_table[row_idx, beam]  # (B, N, sigma)
+        nxt = flat_next.take(beam + offsets, axis=0)  # (B, N, sigma)
         feasible = (nxt != NO_OCCURRENCE).all(axis=1)  # (B, sigma)
         codes, parents = np.nonzero(feasible.T)  # symbol-major, then parent
         if len(codes) == 0:
@@ -167,26 +178,21 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
         if spec.kind is HeuristicKind.MINLEN:
             scores = score_minlen_batch(remainders)
         elif spec.kind is HeuristicKind.GCOV:
-            # gathered in slices of len(beam) rows, so the (rows, N, sigma)
-            # temporary is no larger than one symbol's block of children
-            ubs = np.empty(len(cursors), dtype=np.int64)
-            step = len(beam)
-            for start in range(0, len(cursors), step):
-                counts = suffix_table[row_idx, cursors[start : start + step]]
-                ubs[start : start + step] = counts.min(axis=1).sum(axis=1)
+            ubs = occurrence_bounds(suffix_table, cursors)
             scores = score_gcov_batch(remainders, ubs, gamma)
         else:
+            hi = int(remainders.max())
             if spec.fixed_k is not None:
                 k = spec.fixed_k
             else:
                 lo = int(remainders.min())
-                k = select_k(spec, lo, int(remainders.max()), sigma, n)
+                k = select_k(spec, lo, hi, sigma, n)
                 # cap at the smallest remainder of the level so every child
                 # is scored with the same finite k; letting k overshoot any
                 # remainder sends scores to -inf and erases the ranking
                 # signal exactly when the endgame needs it
                 k = max(1, min(k, lo))
-            scores = score_prob_batch(remainders, k, kernel)
+            scores = score_prob_batch(remainders, k, kernel, hi)
         nodes_expanded += len(scores)
 
         if config.dominance_filter:
@@ -211,6 +217,19 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     if not report.verified:
         raise AssertionError("search produced an invalid solution (engine bug)")
     return report
+
+
+def occurrence_bounds(suffix_table: np.ndarray, cursors: np.ndarray) -> np.ndarray:
+    """`Instance.upper_bound` of every row of a (rows, N) cursor matrix.
+
+    Sum over symbols of the least suffix count over the strings, taken as
+    a running minimum string by string, so the only temporary is one
+    (rows, sigma) block.
+    """
+    least = suffix_table[0].take(cursors[:, 0], axis=0)
+    for i in range(1, cursors.shape[1]):
+        np.minimum(least, suffix_table[i].take(cursors[:, i], axis=0), out=least)
+    return least.sum(axis=1)
 
 
 def _rank(scores: np.ndarray, cursors: np.ndarray, top: int) -> np.ndarray:
@@ -266,8 +285,9 @@ def hyper_heuristic(
     """Probe both heuristics at the reduced width, replay the winner.
 
     The first heuristic wins ties (probe length greater or equal).  The
-    report records both probe lengths and which heuristic ran at full
-    width; its wall time covers the winning full-width run only.
+    report records both probe lengths, both probe wall times and which
+    heuristic ran at full width; its wall time covers the winning
+    full-width run only.
     """
     probe1 = beam_search(instance, replace(config, heuristic=hf1), width=config.beta_h)
     probe2 = beam_search(instance, replace(config, heuristic=hf2), width=config.beta_h)
@@ -275,6 +295,7 @@ def hyper_heuristic(
     final = beam_search(instance, replace(config, heuristic=winner))
     final.chosen_heuristic = winner.kind.value
     final.probe_lengths = (probe1.length, probe2.length)
+    final.probe_wall_times = (probe1.wall_time, probe2.wall_time)
     final.config = config.to_dict()
     final.config["hyper_heuristics"] = [hf1.to_dict(), hf2.to_dict()]
     return final

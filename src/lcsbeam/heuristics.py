@@ -175,9 +175,15 @@ def score_minlen(instance: Instance, state: NodeState) -> Score:
 # --------------------------------------------------------------------------
 
 
-def score_prob_batch(remaining: np.ndarray, k: int, kernel: ProbKernel) -> np.ndarray:
-    """ln-probability sums for a (children x strings) remainder matrix."""
-    row = kernel.log_row(k)
+def score_prob_batch(
+    remaining: np.ndarray, k: int, kernel: ProbKernel, n_hi: int | None = None
+) -> np.ndarray:
+    """ln-probability sums for a (children x strings) remainder matrix.
+
+    `n_hi` is the largest entry of `remaining` when the caller knows it;
+    the p(k, .) row is then built only that far.
+    """
+    row = kernel.log_row(k, n_hi)
     with np.errstate(invalid="ignore"):
         return row[remaining].sum(axis=1)
 

@@ -627,31 +627,37 @@ class ProbKernel:
             return -math.inf
         return float(self.log_row(k)[n])
 
-    def log_row(self, k: int) -> np.ndarray:
-        """Read-only ln p(k, n) for n = 0..n_max; all -inf when k > n_max.
+    def log_row(self, k: int, n_hi: int | None = None) -> np.ndarray:
+        """Read-only ln p(k, n) for n = 0..min(n_hi, n_max); -inf where k > n.
 
-        The engine asks for the same k across many calls in a row, so the
-        last row is kept and handed out again.
+        `n_hi` defaults to n_max.  The running log-sum is sequential, so a
+        row built only to n_hi is bitwise the prefix of the full row.  The
+        engine asks for the same k across many calls in a row, so the last
+        row is kept and handed out again to any call that needs no more of
+        it than was built.
         """
+        hi = self.n_max if n_hi is None else min(n_hi, self.n_max)
+        if hi < 0:
+            raise DomainError(f"n_hi must be >= 0, got {n_hi}")
         last = self._last
-        if last is not None and last[0] == k:
-            return last[1]
-        row = self._build_row(k)
+        if last is not None and last[0] == k and len(last[1]) > hi:
+            return last[1][: hi + 1]
+        row = self._build_row(k, hi)
         row.setflags(write=False)
         self._last = (k, row)
         return row
 
-    def _build_row(self, k: int) -> np.ndarray:
+    def _build_row(self, k: int, hi: int) -> np.ndarray:
         if k < 0:
             raise DomainError(f"k must be >= 0, got {k}")
-        row = np.full(self.n_max + 1, -np.inf)
+        row = np.full(hi + 1, -np.inf)
         if k == 0 or self.params.degenerate:
             # p(0, n) = 1; single-letter strings contain every shorter pattern
             row[k:] = 0.0
             return row
-        if k > self.n_max:
+        if k > hi:
             return row
-        m = np.arange(k, self.n_max + 1)
+        m = np.arange(k, hi + 1)
         lg = self._gammaln
         terms = (
             k * math.log(self.params.alpha)

@@ -142,6 +142,20 @@ class TestSolve:
         assert payload["chosen_heuristic"] in ("kanalytic-uncorr", "kanalytic-corr", "gcov")
         assert len(payload["probe_lengths"]) == 2
 
+    def test_hyper_heuristic_reports_probe_times(self, capsys):
+        flags = (
+            "solve", "--gen", "uncorr", "--sigma", "4", "--n", "3", "--len", "50",
+            "--seed", "2", "--heuristic", "hh", "--beta", "20", "--beta-h", "6",
+        )
+        code, out, _ = run_cli(capsys, *flags, "--json")
+        assert code == EXIT_OK
+        times = json.loads(out)["probe_wall_times"]
+        assert len(times) == 2 and all(t > 0.0 for t in times)
+        code, out, _ = run_cli(capsys, *flags)
+        assert code == EXIT_OK
+        chosen = next(line for line in out.splitlines() if line.startswith("chosen:"))
+        assert "probes=(" in chosen and "probe_ms=(" in chosen
+
     def test_family_flag_selects_corr_rule(self, capsys):
         code, out, _ = run_cli(
             capsys,

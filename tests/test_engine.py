@@ -185,6 +185,15 @@ class TestHyperHeuristic:
         assert "hyper_heuristics" in report.config
         assert report.config["heuristic"]["a"] == 1.8233
 
+    def test_probe_wall_times(self):
+        inst, _ = gen_uncorrelated(4, 4, 60, 3)
+        report = hyper_heuristic(inst, cfg(UNCORR, beta=20), UNCORR, GCOV)
+        assert len(report.probe_wall_times) == 2
+        assert all(t > 0.0 for t in report.probe_wall_times)
+        again = RunReport.from_dict(report.to_dict())
+        assert again.probe_wall_times == report.probe_wall_times
+        assert beam_search(inst, cfg(GCOV, beta=20)).probe_wall_times is None
+
 
 class TestRunReport:
     def test_dict_round_trip(self):

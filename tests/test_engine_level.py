@@ -10,6 +10,8 @@ every solution to the admissible bounds of the problem: a common
 subsequence no longer than the exact LCS or the root's occurrence bound.
 """
 
+import string
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from lcsbeam.engine import (
     _rank,
     _walk_arena,
     beam_search,
+    occurrence_bounds,
     verify_solution,
 )
 from lcsbeam.heuristics import (
@@ -30,7 +33,7 @@ from lcsbeam.heuristics import (
     score_prob_batch,
     select_k,
 )
-from lcsbeam.instance import NO_OCCURRENCE, build_instance
+from lcsbeam.instance import NO_OCCURRENCE, NodeState, build_instance
 from lcsbeam.oracle import exhaustive_lcs
 from lcsbeam.probability import get_kernel
 
@@ -146,3 +149,19 @@ def test_solution_is_bounded_common_subsequence(inst, spec, beta, merge):
     assert verify_solution(inst, report.solution)
     assert report.length <= exhaustive_lcs(inst.strings)
     assert report.length <= inst.upper_bound(inst.root())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 26), st.integers(2, 40), st.data())
+def test_occurrence_bounds_match_upper_bound(sigma, n, data):
+    alphabet = string.ascii_uppercase[:sigma]
+    strings = data.draw(
+        st.lists(st.text(alphabet, max_size=12), min_size=n, max_size=n), label="strings"
+    )
+    inst = build_instance(alphabet, strings)
+    # each cursor anywhere in [0, len], often at len itself (the empty suffix)
+    column = [st.one_of(st.just(len(s)), st.integers(0, len(s))) for s in strings]
+    rows = data.draw(st.lists(st.tuples(*column), min_size=1, max_size=8), label="cursors")
+    got = occurrence_bounds(inst.suffix_table, np.array(rows, dtype=np.int32))
+    want = [inst.upper_bound(NodeState(cursors=row, depth=0)) for row in rows]
+    assert got.tolist() == want

@@ -347,18 +347,40 @@ class TestKernelRows:
         got = ProbKernel(sigma, n).log_p(k, n)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
+    @settings(max_examples=100, deadline=None)
+    @given(sigma=st.integers(1, 30), n_max=st.integers(0, 300), data=st.data())
+    def test_truncated_rows_are_prefixes(self, sigma, n_max, data):
+        kernel = ProbKernel(sigma, n_max)
+        bound = st.integers(0, n_max + 2)
+        ks = data.draw(st.lists(bound, min_size=1, max_size=3), label="ks")
+        # the first two calls share k and the second reaches further, so the
+        # memo of a truncated build is asked for more than it holds
+        lo, hi = sorted(data.draw(st.tuples(bound, bound), label="first n_hi"))
+        calls = [(ks[0], lo), (ks[0], hi)]
+        calls += data.draw(st.lists(st.tuples(st.sampled_from(ks), bound), max_size=8))
+        for k, n_hi in calls:
+            row = kernel.log_row(k, n_hi)
+            want = ProbKernel(sigma, n_max).log_row(k)[: n_hi + 1]
+            assert not row.flags.writeable
+            assert row.tobytes() == want.tobytes()
+        with pytest.raises(DomainError):
+            kernel.log_row(ks[0], -1)
+
     def test_shared_kernel_across_threads(self):
         kernel = get_kernel(9, 2000)
         ks = [0, 1, 50, 200, 222, 1999, 2001]
+        n_his = [None, 2000, 0, 60, 1999, 700, 2500, 222, 1500]
         expected = {k: ProbKernel(9, 2000).log_row(k).copy() for k in ks}
         failures = []
 
         def worker(offset):
             for i in range(200):
                 k = ks[(i + offset) % len(ks)]
-                row = kernel.log_row(k)
-                if row.flags.writeable or not np.array_equal(row, expected[k]):
-                    failures.append((offset, k))
+                n_hi = n_his[(i * 3 + offset) % len(n_his)]
+                row = kernel.log_row(k, n_hi)
+                want = expected[k] if n_hi is None else expected[k][: n_hi + 1]
+                if row.flags.writeable or row.tobytes() != want.tobytes():
+                    failures.append((offset, k, n_hi))
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         old = sys.getswitchinterval()
