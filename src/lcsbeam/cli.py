@@ -119,10 +119,10 @@ def _load_from_flags(args) -> tuple[Instance, DatasetDescriptor]:
             raise UsageError("generator-backed runs require an explicit --seed")
         if args.sigma is None or args.n is None or args.len is None:
             raise UsageError("--gen requires --sigma, --n and --len")
-        if args.gen == "uncorr":
-            inst, desc = gen_uncorrelated(args.sigma, args.n, args.len, args.seed)
-        else:
-            inst, desc = gen_correlated(args.sigma, args.n, args.len, args.rate, args.seed)
+        try:
+            inst, desc = _generate(args.gen, args.sigma, args.n, args.len, args.rate, args.seed)
+        except ValueError as exc:
+            raise UsageError(str(exc))
     else:
         raise UsageError("one of --input or --gen is required")
     if args.family:
@@ -130,13 +130,29 @@ def _load_from_flags(args) -> tuple[Instance, DatasetDescriptor]:
     return inst, desc
 
 
+def _generate(kind: str, sigma: int, n: int, length: int, rate: float | None, seed: int):
+    """A generated instance; the generators raise ValueError on bad parameters."""
+    if kind == "uncorr":
+        return gen_uncorrelated(sigma, n, length, seed)
+    return gen_correlated(sigma, n, length, rate, seed)
+
+
+def _checked_search_kw(**kw) -> dict:
+    """`kw` as BeamConfig keywords; widths it refuses are usage errors."""
+    try:
+        BeamConfig(heuristic=HeuristicSpec(kind=HeuristicKind.MINLEN), **kw)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return kw
+
+
 def _search_kw(args) -> dict:
     """BeamConfig keywords from --beta, --beta-h and --dominance-filter."""
-    return {
-        "beta": args.beta,
-        "beta_h": min(args.beta_h, args.beta),
-        "dominance_filter": args.dominance_filter,
-    }
+    return _checked_search_kw(
+        beta=args.beta,
+        beta_h=min(args.beta_h, args.beta),
+        dominance_filter=args.dominance_filter,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -245,11 +261,13 @@ def parse_manifest(path) -> list[dict]:
 
 def _materialize(entry: dict) -> tuple[Instance, DatasetDescriptor]:
     if "gen" in entry:
-        if entry["gen"] == "uncorr":
-            return gen_uncorrelated(entry["sigma"], entry["n"], entry["len"], entry["seed"])
-        return gen_correlated(
-            entry["sigma"], entry["n"], entry["len"], entry["rate"], entry["seed"]
-        )
+        try:
+            return _generate(
+                entry["gen"], entry["sigma"], entry["n"], entry["len"],
+                entry.get("rate"), entry["seed"],
+            )
+        except ValueError as exc:
+            raise DatasetError(f"bad generator entry: {exc}")
     return load_plain(entry["path"], family=entry["family"])
 
 
@@ -271,6 +289,7 @@ def _manifest_solves(args, repeats: int = 1):
     for name in heuristics:
         if name not in HEURISTIC_CHOICES:
             raise UsageError(f"unknown heuristic {name!r} in --heuristics")
+    search_kw = _search_kw(args)
     for entry in entries:
         try:
             inst, desc = _materialize(entry)
@@ -281,7 +300,7 @@ def _manifest_solves(args, repeats: int = 1):
         for name in heuristics:
             try:
                 reports = [
-                    run_named_heuristic(inst, desc, name, _search_kw(args))
+                    run_named_heuristic(inst, desc, name, search_kw)
                     for _ in range(repeats)
                 ]
             except (CapacityError, DomainError) as exc:
@@ -413,11 +432,13 @@ def cmd_ksweep(args) -> int:
     lo, hi = _parse_range(args.k_range)
     if lo < 1:
         raise UsageError("k-sweep needs k >= 1")
+    if args.k_step < 1:
+        raise UsageError(f"--k-step must be >= 1, got {args.k_step}")
+    search_kw = _checked_search_kw(beta=args.beta, dominance_filter=args.dominance_filter)
     rows = []
     for k in range(lo, hi + 1, args.k_step):
         spec = HeuristicSpec(kind=HeuristicKind.PROB_K_GUESS, fixed_k=k)
-        config = BeamConfig(heuristic=spec, beta=args.beta, dominance_filter=args.dominance_filter)
-        report = beam_search(inst, config)
+        report = beam_search(inst, BeamConfig(heuristic=spec, **search_kw))
         rows.append({"k": k, "length": report.length})
     _write_csv(args.out, ["k", "length"], rows)
     return EXIT_OK
@@ -429,6 +450,8 @@ def cmd_ksweep(args) -> int:
 
 
 def cmd_timing(args) -> int:
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     rows = []
     any_failed = False
     for _, desc, load_error, outcomes in _manifest_solves(args, args.repeats):
@@ -578,7 +601,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DatasetError, BudgetError) as exc:
         print(f"dataset error: {exc}", file=sys.stderr)

@@ -22,12 +22,13 @@ chosen symbols), gathered from the next-occurrence table in one step and
 scored in one call.  The gather is one `take` of whole rows from the
 table viewed as (N * (max_len + 1), sigma).  The gcov occurrence bound
 is a running minimum over the strings of each child's suffix counts,
-one (children, sigma) block at a time, and a probability score reads
-its p(k, .) row only up to the level's longest remainder.  Its children
-are listed symbol-major, then by parent, and the rank sort is stable:
-children equal in score and cursor vector share their last symbol, so
-among them the lower parent index ranks first.  Per-level parent/symbol
-arrays form the arena that the final solution is reconstructed from.
+one (children, sigma) block at a time, and a probability score builds
+its p(k, .) row only over the window from the level's shortest to its
+longest remainder.  Its children are listed symbol-major, then by
+parent, and the rank sort is stable: children equal in score and cursor
+vector share their last symbol, so among them the lower parent index
+ranks first.  Per-level parent/symbol arrays form the arena that the
+final solution is reconstructed from.
 """
 
 from __future__ import annotations
@@ -181,18 +182,17 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
             ubs = occurrence_bounds(suffix_table, cursors)
             scores = score_gcov_batch(remainders, ubs, gamma)
         else:
-            hi = int(remainders.max())
+            lo, hi = int(remainders.min()), int(remainders.max())
             if spec.fixed_k is not None:
                 k = spec.fixed_k
             else:
-                lo = int(remainders.min())
                 k = select_k(spec, lo, hi, sigma, n)
                 # cap at the smallest remainder of the level so every child
                 # is scored with the same finite k; letting k overshoot any
                 # remainder sends scores to -inf and erases the ranking
                 # signal exactly when the endgame needs it
                 k = max(1, min(k, lo))
-            scores = score_prob_batch(remainders, k, kernel, hi)
+            scores = score_prob_batch(remainders, k, kernel, hi, lo)
         nodes_expanded += len(scores)
 
         if config.dominance_filter:

@@ -176,16 +176,20 @@ def score_minlen(instance: Instance, state: NodeState) -> Score:
 
 
 def score_prob_batch(
-    remaining: np.ndarray, k: int, kernel: ProbKernel, n_hi: int | None = None
+    remaining: np.ndarray,
+    k: int,
+    kernel: ProbKernel,
+    n_hi: int | None = None,
+    n_lo: int = 0,
 ) -> np.ndarray:
     """ln-probability sums for a (children x strings) remainder matrix.
 
-    `n_hi` is the largest entry of `remaining` when the caller knows it;
-    the p(k, .) row is then built only that far.
+    `n_lo` and `n_hi` bound the entries of `remaining` when the caller
+    knows them; the p(k, .) row is then built only over that window.
     """
-    row = kernel.log_row(k, n_hi)
+    row = kernel.log_row(k, n_hi, n_lo)
     with np.errstate(invalid="ignore"):
-        return row[remaining].sum(axis=1)
+        return row[remaining - n_lo].sum(axis=1)
 
 
 def score_gcov_batch(

@@ -19,7 +19,11 @@ search heuristics.  ``cross_validate`` runs all five routes over a grid
 and reports the worst pairwise disagreement.
 
 The search engine scores with ``ProbKernel`` rows only: it needs one k
-per level, so no (n_max+1)^2 grid is built on the search path.
+per level, so no (n_max+1)^2 grid is built on the search path, and it
+asks only for the window of n from the level's shortest to its longest
+remainder.  A window that starts above k is seeded with the binomial
+tail at its first n, so its cost does not grow with how far that n is
+from k.
 
 Numeric modes: LINEAR sums terms directly, LOGSPACE goes through
 log-sum-exp (safe for large n or large alphabets), EXACT_RATIONAL keeps
@@ -616,9 +620,9 @@ class ProbKernel:
         self.params = AlphabetParams(sigma_size)
         self.n_max = n_max
         self._gammaln = gammaln(np.arange(n_max + 2))  # [j] = ln (j-1)!
-        # (k, row) of the last row built; one tuple so that a thread reading
-        # it never pairs one k with another k's row
-        self._last: tuple[int, np.ndarray] | None = None
+        # (k, n_lo, row) of the last row built; one tuple so that a thread
+        # reading it never pairs one k or window with another's row
+        self._last: tuple[int, int, np.ndarray] | None = None
 
     def log_p(self, k: int, n: int) -> float:
         if k == 0:
@@ -627,47 +631,98 @@ class ProbKernel:
             return -math.inf
         return float(self.log_row(k)[n])
 
-    def log_row(self, k: int, n_hi: int | None = None) -> np.ndarray:
-        """Read-only ln p(k, n) for n = 0..min(n_hi, n_max); -inf where k > n.
+    def log_row(self, k: int, n_hi: int | None = None, n_lo: int = 0) -> np.ndarray:
+        """Read-only ln p(k, n) for n = n_lo..min(n_hi, n_max); -inf where k > n.
 
-        `n_hi` defaults to n_max.  The running log-sum is sequential, so a
-        row built only to n_hi is bitwise the prefix of the full row.  The
-        engine asks for the same k across many calls in a row, so the last
-        row is kept and handed out again to any call that needs no more of
-        it than was built.
+        Entry i of the result is n = n_lo + i, and `n_hi` defaults to n_max.
+        With n_lo <= k the running log-sum starts at m = k, so the window is
+        bitwise that slice of the full row.  With n_lo > k its first entry
+        is the tail ln P(Binomial(n_lo, alpha) >= k) (see `_log_tail`), and
+        the running log-sum goes on from there over m = n_lo+1..n_hi; it
+        rounds differently from the full row, by up to about
+        2e-11 * max(1, |ln p|).
+        The engine asks for the same k across many calls in a row, so the
+        last row is kept and handed out again to any call with the same k
+        whose window it covers.
         """
-        hi = self.n_max if n_hi is None else min(n_hi, self.n_max)
-        if hi < 0:
-            raise DomainError(f"n_hi must be >= 0, got {n_hi}")
-        last = self._last
-        if last is not None and last[0] == k and len(last[1]) > hi:
-            return last[1][: hi + 1]
-        row = self._build_row(k, hi)
-        row.setflags(write=False)
-        self._last = (k, row)
-        return row
-
-    def _build_row(self, k: int, hi: int) -> np.ndarray:
         if k < 0:
             raise DomainError(f"k must be >= 0, got {k}")
-        row = np.full(hi + 1, -np.inf)
+        if n_lo < 0 or (n_hi is not None and n_hi < n_lo):
+            raise DomainError(f"need 0 <= n_lo <= n_hi, got n_lo={n_lo} n_hi={n_hi}")
+        hi = self.n_max if n_hi is None else min(n_hi, self.n_max)
+        last = self._last
+        if last is not None:
+            last_k, last_lo, last_row = last
+            if last_k == k and last_lo <= n_lo and hi < last_lo + len(last_row):
+                return last_row[n_lo - last_lo : hi - last_lo + 1]
+        row = self._build_row(k, n_lo, hi)
+        row.setflags(write=False)
+        self._last = (k, n_lo, row)
+        return row
+
+    def _build_row(self, k: int, lo: int, hi: int) -> np.ndarray:
+        row = np.full(max(hi - lo + 1, 0), -np.inf)
         if k == 0 or self.params.degenerate:
             # p(0, n) = 1; single-letter strings contain every shorter pattern
-            row[k:] = 0.0
+            row[max(k - lo, 0) :] = 0.0
             return row
-        if k > hi:
+        first = max(k, lo)
+        if first > hi:
             return row
-        m = np.arange(k, hi + 1)
+        m = np.arange(first, hi + 1)
         lg = self._gammaln
         terms = (
             k * math.log(self.params.alpha)
             + (m - k) * math.log(self.params.beta)
-            + (lg[m] - lg[k] - lg[m - k + 1])
+            + (lg[first : hi + 1] - lg[k] - lg[first - k + 1 : hi - k + 2])
         )
-        np.logaddexp.accumulate(terms, out=row[k:])
+        if lo > k:
+            terms[0] = self._log_tail(k, lo)  # stands for the terms m = k..lo
+        np.logaddexp.accumulate(terms, out=row[first - lo :])
         # float noise in the saturated region can nudge ln p above 0
         np.minimum(row, 0.0, out=row)
         return row
+
+    def _log_tail(self, k: int, n: int) -> float:
+        """ln P(Binomial(n, alpha) >= k) for 1 <= k <= n, alpha < 1.
+
+        Sums the pmf terms t_j on the short side of the mean n*alpha: above
+        it the tail j >= k itself, else the complement j < k from k-1
+        downward, returned as log1p(-sum) so that p close to 1 keeps its
+        digits.  Either way t_j falls from the first term on.  The pmf is
+        log-concave: the log of the step ratio r = t_next / t_j is below 0
+        at the start and drops by at least 4 / (n + 2) per step, so the
+        number of steps after which the terms have fallen by 2**-60 (and a
+        margin) follows from a quadratic, and the terms left out sum to at
+        most t_J * r / (1 - r) < 2**-60 of the sum.  One vectorised pass.
+        """
+        a, b = self.params.alpha, self.params.beta
+        lg = self._gammaln
+        upper = k > n * a
+        if upper:  # j = k, k+1, ..., n
+            total, ratio = n - k + 1, (n - k) * a / ((k + 1) * b)
+        else:  # j = k-1, k-2, ..., 0
+            total, ratio = k, (k - 1) * b / ((n - k + 2) * a)
+        count = total
+        if total > 1:
+            # d steps lower the log of the terms by at least d*g + d*(d-1)*c/2;
+            # the 10 covers r / (1 - r) < e**10, which holds for n below 1e10
+            g, c = -math.log(ratio), 4 / (n + 2)
+            drop = 60 * math.log(2) + 10
+            steps = (math.sqrt((g - c / 2) ** 2 + 2 * c * drop) - (g - c / 2)) / c
+            count = min(total, math.ceil(steps) + 1)
+        j0, j1 = (k, k + count - 1) if upper else (k - count, k - 1)
+        log_t = (
+            (lg[n + 1] + n * math.log(b))
+            + np.arange(j0, j1 + 1) * math.log(a / b)
+            - lg[j0 + 1 : j1 + 2]
+            - lg[n - j1 + 1 : n - j0 + 2][::-1]
+        )
+        head = log_t[0] if upper else log_t[-1]  # the largest term
+        rel = np.exp(log_t - head).sum()
+        if upper:
+            return float(head + math.log(rel))
+        return math.log1p(-math.exp(head) * rel)
 
     def p(self, k: int, n: int) -> float:
         return math.exp(self.log_p(k, n))

@@ -1,11 +1,16 @@
 """End-to-end command-line tests: flags, exit codes, CSV/JSON schemas."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsbeam import cli
 from lcsbeam.cli import (
@@ -48,6 +53,17 @@ def refuse_probability_solves(monkeypatch):
         return real(instance, config, width)
 
     monkeypatch.setattr(cli, "beam_search", refusing)
+
+
+# A generator line that every generator refuses (one string), and the
+# flags of a small valid generated instance.
+BAD_GEN_ENTRY = "gen: uncorr sigma=4 n=1 len=50 seed=1\n"
+GOOD_GEN_ENTRY = "gen: uncorr sigma=4 n=2 len=20 seed=1\n"
+GEN_FLAGS = {"--gen": "corr", "--sigma": "4", "--n": "3", "--len": "20", "--seed": "1"}
+
+
+def flag_argv(flags):
+    return [item for pair in flags.items() for item in pair]
 
 
 def run_cli(capsys, *argv):
@@ -482,3 +498,140 @@ class TestOracleCommand:
         assert code == EXIT_OK
         assert "length: 2" in out
         assert "method: enum" in out
+
+
+class TestUsageErrors:
+    """Bad values of generator and width flags exit 2 with a usage error."""
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--n", "1"), ("--sigma", "0"), ("--sigma", "63"), ("--len", "-1"),
+         ("--rate", "1.5"), ("--beta", "0"), ("--beta-h", "0")],
+    )
+    def test_solve(self, capsys, flag, value):
+        flags = dict(GEN_FLAGS, **{flag: value})
+        code, out, err = run_cli(capsys, "solve", *flag_argv(flags), "--heuristic", "minlen")
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: ")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--n", "0"), ("--sigma", "0"), ("--len", "-3"), ("--rate", "-0.5"),
+         ("--beta", "0"), ("--k-step", "0")],
+    )
+    def test_ksweep(self, capsys, flag, value):
+        flags = dict(GEN_FLAGS, **{"--k-range": "1:2", flag: value})
+        code, out, err = run_cli(capsys, "ksweep", *flag_argv(flags))
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: ")
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "timing"])
+    @pytest.mark.parametrize(
+        "flag,value", [("--beta", "0"), ("--beta", "-1"), ("--beta-h", "0")]
+    )
+    def test_manifest_widths(self, capsys, tmp_path, command, flag, value):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(GOOD_GEN_ENTRY)
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, command, "--manifest", str(manifest), "--heuristics", "minlen",
+            "--out", str(out_csv), flag, value,
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: ")
+        assert not out_csv.exists()
+
+    def test_timing_repeats(self, capsys, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(GOOD_GEN_ENTRY)
+        code, out, err = run_cli(
+            capsys, "timing", "--manifest", str(manifest), "--heuristics", "minlen",
+            "--repeats", "0",
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: ")
+
+
+class TestBadManifestLine:
+    """A generator line the generators refuse fails alone; the run goes on."""
+
+    def test_sweep_writes_error_row(self, capsys, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(BAD_GEN_ENTRY + GOOD_GEN_ENTRY)
+        out_csv = tmp_path / "out.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--manifest", str(manifest), "--heuristics", "minlen,kanalytic",
+            "--out", str(out_csv), "--beta", "5",
+        )
+        assert code == EXIT_PARTIAL
+        rows = [r for r in read_csv(out_csv) if r["dataset"] != "average"]
+        assert [(r["n"], r["heuristic"]) for r in rows] == [
+            ("1", "minlen"), ("1", "kanalytic"), ("2", "minlen"), ("2", "kanalytic"),
+        ]
+        for row in rows[:2]:
+            assert row["status"] == "error: bad generator entry: need at least 2 strings, got 1"
+            assert row["length"] == ""
+        assert [r["status"] for r in rows[2:]] == ["ok", "ok"]
+
+    def test_timing_skips_entry(self, capsys, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(BAD_GEN_ENTRY + GOOD_GEN_ENTRY)
+        code, out, err = run_cli(
+            capsys, "timing", "--manifest", str(manifest), "--heuristics", "minlen",
+            "--repeats", "1", "--beta", "5",
+        )
+        assert code == EXIT_PARTIAL
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["n"], r["heuristic"]) for r in rows] == [("2", "minlen")]
+        assert "skipping entry: bad generator entry: need at least 2 strings" in err
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "ksweep", "sweep", "timing"]),
+    gen=st.sampled_from(["uncorr", "corr"]),
+    n=st.integers(0, 4),
+    sigma=st.integers(0, 30),
+    length=st.integers(-2, 40),
+    beta=st.integers(-1, 8),
+    heuristic=st.sampled_from(cli.HEURISTIC_CHOICES),
+    seed=st.integers(0, 2**32),
+)
+def test_exit_code_matches_its_class(command, gen, n, sigma, length, beta, heuristic, seed):
+    """In-process `main` on small flag sets, valid and invalid.
+
+    Generator parameters are valid for n >= 2, sigma >= 1 and len >= 0,
+    widths for beta >= 1.  Bad flags are usage errors (2); a bad manifest
+    line fails only its own rows (1); everything else succeeds (0).
+    """
+    instance_ok = n >= 2 and sigma >= 1 and length >= 0
+    with tempfile.TemporaryDirectory() as tmp:
+        if command in ("solve", "ksweep"):
+            flags = {"--gen": gen, "--sigma": sigma, "--n": n, "--len": length, "--seed": seed}
+            argv = [command, *flag_argv({f: str(v) for f, v in flags.items()})]
+            argv += ["--heuristic", heuristic] if command == "solve" else ["--k-range", "1:2"]
+            expected = EXIT_OK if instance_ok and beta >= 1 else EXIT_USAGE
+        else:
+            manifest = Path(tmp) / "m.txt"
+            manifest.write_text(
+                f"gen: {gen} sigma={sigma} n={n} len={length} seed={seed}\n" + GOOD_GEN_ENTRY
+            )
+            argv = [command, "--manifest", str(manifest), "--heuristics", heuristic]
+            argv += ["--out", str(Path(tmp) / "out.csv")]
+            argv += ["--repeats", "1"] if command == "timing" else []
+            if beta < 1:
+                expected = EXIT_USAGE
+            else:
+                expected = EXIT_OK if instance_ok else EXIT_PARTIAL
+        argv += ["--beta", str(beta)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_DATASET)
+    assert code == expected, err.getvalue()
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("usage error: ")
+    if code == EXIT_OK:
+        assert err.getvalue() == ""

@@ -87,7 +87,10 @@ def ref_beam_search(instance, config):
                 ubs = counts.min(axis=1).sum(axis=1)
                 scores.append(score_gcov_batch(rem, ubs, gamma))
             else:
-                scores.append(score_prob_batch(rem, k, kernel))
+                scores.append(score_prob_batch(
+                    rem, k, kernel,
+                    max(int(r.max()) for r in remainders), min(int(r.min()) for r in remainders),
+                ))
 
         all_cursors = np.concatenate([b[2] for b in blocks])
         all_parents = np.concatenate([b[1] for b in blocks])

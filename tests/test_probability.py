@@ -57,6 +57,37 @@ def enum_prob(k: int, n: int, sigma: int) -> Fraction:
     return Fraction(count, sigma**n)
 
 
+def exact_log_tail(sigma: int, n: int, k: int) -> float:
+    """ln P(Binomial(n, 1/sigma) >= k) from exact big-integer sums.
+
+    The sum runs on the short side of the mean, and the complement is taken
+    in exact rationals, so p close to 1 and p below e**-745 both keep their
+    digits.
+    """
+    if k <= 0:
+        return 0.0
+    if k > n:
+        return -math.inf
+    if sigma == 1:
+        return 0.0
+    w = sigma - 1  # C(n, j) w^(n-j) / sigma^n is the pmf at j
+    upper = k * sigma > n
+    j = k if upper else k - 1
+    term = math.comb(n, j) * w ** (n - j)
+    total = 0
+    while term:
+        total += term
+        if upper:
+            term = term * (n - j) // ((j + 1) * w)
+            j += 1
+        else:
+            term = term * j * w // (n - j + 1) if j else 0
+            j -= 1
+    if upper:
+        return math.log(total) - math.log(sigma**n)
+    return math.log1p(-float(Fraction(total, sigma**n)))
+
+
 class TestAlphabetParams:
     def test_alpha_beta_sum_exactly_one(self):
         for sigma in range(1, 27):
@@ -381,6 +412,139 @@ class TestKernelRows:
                 want = expected[k] if n_hi is None else expected[k][: n_hi + 1]
                 if row.flags.writeable or row.tobytes() != want.tobytes():
                     failures.append((offset, k, n_hi))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+
+def covers_window(row, full, k, n_lo, n_hi):
+    """Assert `row` is the window [n_lo, n_hi] (None: n_max) of row k, `full`.
+
+    Same length and -inf pattern as that slice of the full row, within
+    2e-11 * max(1, |ln p|) of it, and bitwise equal to it where the window
+    starts at or below k.
+    """
+    want = full[n_lo : None if n_hi is None else n_hi + 1]
+    assert not row.flags.writeable
+    assert len(row) == len(want)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(row), finite)
+    err = np.abs(row[finite] - want[finite])
+    assert np.all(err <= 2e-11 * np.maximum(1.0, np.abs(want[finite])))
+    assert not (row > 0.0).any()
+    if n_lo <= k:
+        assert row.tobytes() == want.tobytes()
+
+
+class TestKernelWindows:
+    """`ProbKernel.log_row(k, n_hi, n_lo)`: a window seeded by the binomial tail."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=st.integers(1, 30), n_max=st.integers(0, 3000), data=st.data())
+    def test_window_matches_full_row(self, sigma, n_max, data):
+        k = data.draw(st.integers(0, n_max + 2), label="k")
+        # windows near k, where the seed's two sides meet, are drawn often
+        bound = st.one_of(st.integers(0, n_max + 2), st.integers(max(0, k - 3), k + 3))
+        n_lo, n_hi = sorted(data.draw(st.tuples(bound, bound), label="window"))
+        full = ProbKernel(sigma, n_max).log_row(k)
+        covers_window(ProbKernel(sigma, n_max).log_row(k, n_hi, n_lo), full, k, n_lo, n_hi)
+
+    @pytest.mark.parametrize(
+        "sigma,n,k,regime",
+        [
+            (2, 6_000, 2_950, "mid"),  # near the mean, from below
+            (2, 6_000, 3_050, "mid"),  # near the mean, from above
+            (4, 6_000, 2_186, "mid"),
+            (4, 6_000, 1_000, "one"),  # far below n/sigma: p close to 1
+            (4, 6_000, 3_000, "tiny"),
+            (20, 5_000, 40, "one"),
+            (3, 4_321, 1_441, "mid"),
+            (30, 5_000, 5, "one"),
+            (2, 10_000, 4_900, "mid"),
+            (2, 10_000, 5_100, "mid"),
+            (4, 10_000, 1, "one"),  # p = 1 - 0.75**10000
+            (4, 10_000, 2_000, "one"),
+            (4, 10_000, 2_500, "mid"),
+            (4, 10_000, 4_500, "tiny"),
+            (20, 10_000, 100, "one"),
+            (20, 10_000, 3_000, "tiny"),
+            (26, 9_999, 9_999, "tiny"),  # ln p = -9999 ln 26
+        ],
+    )
+    def test_matches_exact_tail(self, sigma, n, k, regime):
+        want = exact_log_tail(sigma, n, k)
+        if regime == "one":
+            assert -1e-12 < want <= 0.0
+        elif regime == "tiny":
+            assert want < -745.0  # where exp(ln p) underflows
+        # The log-gamma lookup holds ln((n-1)!) to half an ulp, 7.3e-12 from
+        # n = 8 183 on, and every route that reads it, the full row too,
+        # errs by up to about 1.7e-11 at n = 10 000.
+        tol = (1e-11 if n <= 6_000 else 2e-11) * max(1.0, abs(want))
+        for n_lo in (n, max(k, n - 300), k):
+            got = ProbKernel(sigma, n).log_row(k, n, n_lo)[-1]
+            assert abs(got - want) <= tol, n_lo
+        if regime == "one":
+            # the seed alone (n_lo = n) sums the complement, so it holds
+            # ln p = log1p(-P(X < k)) to relative precision
+            got = ProbKernel(sigma, n).log_row(k, n, n)[0]
+            assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_bad_windows(self):
+        kernel = ProbKernel(4, 100)
+        with pytest.raises(DomainError):
+            kernel.log_row(5, 10, -1)
+        with pytest.raises(DomainError):
+            kernel.log_row(5, 10, 11)
+        assert kernel.log_row(5, 300, 200).shape == (0,)  # past n_max
+
+    @settings(max_examples=100, deadline=None)
+    @given(sigma=st.integers(1, 30), n_max=st.integers(0, 3000), data=st.data())
+    def test_call_sequences_on_one_kernel(self, sigma, n_max, data):
+        kernel = ProbKernel(sigma, n_max)
+        bound = st.integers(0, n_max + 2)
+        ks = data.draw(st.lists(bound, min_size=1, max_size=3), label="ks")
+        # the first two calls share k and the second's window is wider on at
+        # least one side, so the memo of the first is asked for more than it
+        # holds; the third asks for the first window again
+        lo, a, b, hi = sorted(data.draw(st.tuples(bound, bound, bound, bound), label="n"))
+        calls = [(ks[0], a, b), (ks[0], lo, hi), (ks[0], a, b)]
+        windows = st.tuples(bound, bound).map(sorted)
+        calls += data.draw(
+            st.lists(st.tuples(st.sampled_from(ks), windows).map(lambda t: (t[0], *t[1])),
+                     max_size=8),
+            label="calls",
+        )
+        for k, n_lo, n_hi in calls:
+            full = ProbKernel(sigma, n_max).log_row(k)
+            covers_window(kernel.log_row(k, n_hi, n_lo), full, k, n_lo, n_hi)
+
+    def test_shared_kernel_across_threads(self):
+        kernel = get_kernel(9, 2000)
+        ks = [0, 1, 50, 200, 222, 1999, 2001]
+        windows = [(0, None), (0, 2000), (0, 0), (60, 60), (222, 1999), (230, 700),
+                   (1500, 2500), (199, 222), (700, 1500), (2000, 2000)]
+        full = {k: ProbKernel(9, 2000).log_row(k) for k in ks}
+        failures = []
+
+        def worker(offset):
+            for i in range(200):
+                k = ks[(i + offset) % len(ks)]
+                n_lo, n_hi = windows[(i * 3 + offset) % len(windows)]
+                try:
+                    covers_window(kernel.log_row(k, n_hi, n_lo), full[k], k, n_lo, n_hi)
+                except AssertionError:
+                    failures.append((offset, k, n_lo, n_hi))
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         old = sys.getswitchinterval()
