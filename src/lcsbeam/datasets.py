@@ -105,6 +105,8 @@ def load_plain(path, family: Family = Family.UNKNOWN):
         if not raw.strip():
             continue
         parts = raw.split()
+        if parts == ["0"] and raw[-1].isspace():
+            parts.append("")  # `0 ` is the empty string, as dump_plain writes it
         if len(parts) == 1:
             declared, s = None, parts[0]
         elif len(parts) == 2:

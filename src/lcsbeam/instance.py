@@ -75,18 +75,21 @@ class Instance:
         )
         nxt = np.full((n, width, sigma), NO_OCCURRENCE, dtype=np.int32)
         cnt = np.zeros((n, width, sigma), dtype=np.int32)
+        symbols = np.arange(sigma, dtype=np.int32)
         for i, s in enumerate(self.strings):
             length = len(s)
+            if not length:
+                continue  # row 0 keeps NO_OCCURRENCE and 0, like every end row
             codes = np.fromiter((self._code[ch] for ch in s), dtype=np.int32, count=length)
-            for c in range(sigma):
-                hits = np.nonzero(codes == c)[0]
-                col = np.full(length + 1, NO_OCCURRENCE, dtype=np.int32)
-                col[hits] = hits
-                np.minimum.accumulate(col[::-1], out=col[::-1])
-                nxt[i, : length + 1, c] = col
-                occ = np.zeros(length + 1, dtype=np.int32)
-                occ[:length][::-1] = np.cumsum((codes == c)[::-1])
-                cnt[i, : length + 1, c] = occ
+            # one (length, sigma) block per string, last position first; the
+            # scans run from the end, so they write the rows in reverse
+            hit = codes[::-1, None] == symbols
+            pos = np.arange(length - 1, -1, -1, dtype=np.int32)[:, None]
+            np.minimum.accumulate(
+                np.where(hit, pos, np.int32(NO_OCCURRENCE)), axis=0,
+                out=nxt[i, length - 1 :: -1],
+            )
+            np.cumsum(hit, axis=0, dtype=np.int32, out=cnt[i, length - 1 :: -1])
         nxt.setflags(write=False)
         cnt.setflags(write=False)
         self.next_table = nxt       # [i, pos, code] -> index or NO_OCCURRENCE

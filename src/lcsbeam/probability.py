@@ -14,9 +14,16 @@ computed by five mutually verifying routes:
                            one k row at a time in log space
 
 ``q_value`` evaluates the rescaled tail q(k, n) = (1 - p) / beta^(n-k+1),
-a plain binomial-weighted sum used for picking the target length k in the
-search heuristics.  ``cross_validate`` runs all five routes over a grid
-and reports the worst pairwise disagreement.
+the sum inside the closed form, used for picking the target length k in
+the search heuristics.  ``cross_validate`` runs all five routes over a
+grid and reports the worst pairwise disagreement.
+
+Each closed form (and q) is one row function of (k, n) over a vector of
+n.  Its scalar entry point (``prob_closed``, ``prob_closed_product``,
+``prob_beta_sum``, ``q_value``) is that row at a single n behind shared
+base cases, and its grid (``closed_grid``, ``closed_product_grid``,
+``beta_sum_grid``) is that row stacked over k, so the two cannot drift
+apart.
 
 The search engine scores with ``ProbKernel`` rows only: it needs one k
 per level, so no (n_max+1)^2 grid is built on the search path, and it
@@ -25,9 +32,11 @@ remainder.  A window that starts above k is seeded with the binomial
 tail at its first n, so its cost does not grow with how far that n is
 from k.
 
-Numeric modes: LINEAR sums terms directly, LOGSPACE goes through
-log-sum-exp (safe for large n or large alphabets), EXACT_RATIONAL keeps
-arbitrary-precision rationals and serves as ground truth in tests.
+Numeric modes of the closed form: its sum over i is always a log-sum in
+numpy; LOGSPACE then forms 1 - beta^(n-k+1) q in log space (safe for
+large n or large alphabets), LINEAR multiplies it out as written, and
+EXACT_RATIONAL keeps arbitrary-precision rationals and serves as ground
+truth in tests.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 
 class CapacityError(Exception):
@@ -266,16 +275,134 @@ def exact_float_grid(sigma_size: int, n_max: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# closed forms
+# closed forms: one row function per route
 # --------------------------------------------------------------------------
+#
+# Each route is one function of (k, n, params) that returns the unclamped
+# value over a vector of n >= k >= 1 on a multi-letter alphabet.  Every
+# log-gamma comes from scipy's `gammaln`, as in `ProbKernel`.
 
-_FACTORIAL_CUTOFF = 60  # beyond this, binomials go through log-gamma
+_BETA_FORM = "the Beta-density form"
 
 
-def _log_binom(top: int, bottom: int) -> float:
-    return (
-        math.lgamma(top + 1) - math.lgamma(bottom + 1) - math.lgamma(top - bottom + 1)
+def _log_q_row(k: int, n: np.ndarray, params: AlphabetParams) -> np.ndarray:
+    """ln q(k, n) = ln sum_{i<k} alpha^i C(n-k+i, i) over the vector n.
+
+    The i = 0 term is exactly 0, so q(1, n) is exactly 1 and the largest
+    term, which the exps are scaled by, is finite.
+    """
+    i = np.arange(k)[:, None]
+    terms = (
+        i * math.log(params.alpha)
+        + gammaln(n - k + i + 1)
+        - gammaln(i + 1)
+        - gammaln(n - k + 1)
     )
+    top = terms.max(axis=0)
+    return top + np.log(np.exp(terms - top).sum(axis=0))
+
+
+def _closed_row(
+    k: int, n: np.ndarray, params: AlphabetParams, mode: NumericMode
+) -> np.ndarray:
+    """Closed-form p = 1 - beta^(n-k+1) q(k, n) over the vector n.
+
+    LOGSPACE forms the product in log space and takes -expm1 of it, which
+    keeps the digits of a small p; LINEAR multiplies it out as written.
+    """
+    ln_q = _log_q_row(k, n, params)
+    if mode is NumericMode.LOGSPACE:
+        t = np.minimum((n - k + 1) * math.log(params.beta) + ln_q, 0.0)
+        return -np.expm1(t)
+    return 1.0 - params.beta ** (n - k + 1) * np.exp(ln_q)
+
+
+def _product_row(k: int, n: np.ndarray, params: AlphabetParams) -> np.ndarray:
+    """Product-form p over the vector n.
+
+    p = 1 - beta^(n-k+1) - beta^(n-k+1) * sum_{1<=i<k} prod_{j<=i} alpha*(n-k+j)/j,
+    with the inner products accumulated over j.
+    """
+    j = np.arange(1, k)[:, None]
+    total = np.cumprod(params.alpha * (n - k + j) / j, axis=0).sum(axis=0)
+    bpow = params.beta ** (n - k + 1)
+    return 1.0 - bpow - bpow * total
+
+
+def _beta_row(k: int, n: np.ndarray, params: AlphabetParams) -> np.ndarray:
+    """p = 1 - beta^(n-k+1) - alpha*beta * sum_{1<=i<k} density_i / i over n.
+
+    The i-th summand is the Beta(n-k+1, i) density at beta; term by term
+    it is the i-th term of the closed form.
+    """
+    i = np.arange(1, k)[:, None]
+    total = (beta_density(params.beta, n - k + 1, i) / i).sum(axis=0)
+    return 1.0 - params.beta ** (n - k + 1) - params.alpha * params.beta * total
+
+
+def beta_density(x: float, a, b):
+    """Beta(a, b) probability density at x, evaluated through log-gamma.
+
+    a and b may be arrays; they broadcast against each other.
+    """
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"density evaluated at x={x}, need 0 < x < 1")
+    if np.any(np.less_equal(a, 0)) or np.any(np.less_equal(b, 0)):
+        raise DomainError(f"shape parameters must be positive, got a={a} b={b}")
+    log_norm = gammaln(a) + gammaln(b) - gammaln(np.add(a, b))
+    return np.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_norm)
+
+
+def _single_letter(route: str | None) -> int:
+    """p(k, n) for k <= n on the single-letter alphabet: 1, unless `route`
+    names a form that is undefined there."""
+    if route is not None:
+        raise DomainError(f"{route} needs a multi-letter alphabet")
+    return 1
+
+
+def _base_p(
+    k: int, n: int, params: AlphabetParams, route: str | None = None
+) -> int | None:
+    """p(k, n) where no sum is needed, or None where a route must sum.
+
+    DomainError for k < 0 or n < 0; then p = 1 at k = 0, p = 0 at k > n,
+    and the single-letter alphabet (see `_single_letter`).
+    """
+    if k < 0 or n < 0:
+        raise DomainError(f"k and n must be >= 0, got k={k} n={n}")
+    if k == 0:
+        return 1
+    if k > n:
+        return 0
+    if params.degenerate:
+        return _single_letter(route)
+    return None
+
+
+def _point(row, k: int, n: int, params: AlphabetParams, *args, route=None) -> float:
+    """A route's p at one (k, n): the base cases, else its row at [n] clamped."""
+    base = _base_p(k, n, params, route)
+    if base is not None:
+        return float(base)
+    return min(1.0, max(0.0, float(row(k, np.array([n]), params, *args)[0])))
+
+
+def _grid(row, sigma_size: int, n_max: int, *args, route=None) -> np.ndarray:
+    """A route's rows stacked over k into the unclamped (k, n) grid.
+
+    Row 0 is 1 and cells with k > n are 0; on the single-letter alphabet
+    the grid is upper-triangular ones.
+    """
+    params = AlphabetParams(sigma_size)
+    size = n_max + 1
+    if params.degenerate:
+        return _single_letter(route) * np.triu(np.ones((size, size)))
+    grid = np.zeros((size, size))
+    grid[0, :] = 1.0
+    for k in range(1, size):
+        grid[k, k:] = row(k, np.arange(k, size), params, *args)
+    return grid
 
 
 def prob_closed(
@@ -290,140 +417,31 @@ def prob_closed(
     returns a Fraction.  Results are clamped to [0, 1] (float modes only);
     the raw value is exercised unclamped by cross_validate.
     """
-    if k < 0 or n < 0:
-        raise DomainError(f"k and n must be >= 0, got k={k} n={n}")
-    if k == 0:
-        return Fraction(1) if mode is NumericMode.EXACT_RATIONAL else 1.0
-    if k > n:
-        return Fraction(0) if mode is NumericMode.EXACT_RATIONAL else 0.0
-    if params.degenerate:
-        # single-letter convention: certainty whenever k <= n
-        return Fraction(1) if mode is NumericMode.EXACT_RATIONAL else 1.0
-    if mode is None:
-        mode = default_mode(params.sigma_size, n)
     if mode is NumericMode.EXACT_RATIONAL:
+        base = _base_p(k, n, params)
+        if base is not None:
+            return Fraction(base)
         a = Fraction(1, params.sigma_size)
         b = 1 - a
         s = sum(a**i * math.comb(n - k + i, i) for i in range(k))
         return 1 - b ** (n - k + 1) * s
-    raw = _closed_raw(k, n, params, mode)
-    return min(1.0, max(0.0, raw))
-
-
-def _closed_raw(k: int, n: int, params: AlphabetParams, mode: NumericMode) -> float:
-    if mode is NumericMode.LINEAR:
-        ln_a = math.log(params.alpha)
-        s = 0.0
-        for i in range(k):
-            if n - k + i <= _FACTORIAL_CUTOFF:
-                term = params.alpha**i * math.comb(n - k + i, i)
-            else:
-                term = math.exp(i * ln_a + _log_binom(n - k + i, i))
-            s += term
-        return 1.0 - params.beta ** (n - k + 1) * s
-    # LOGSPACE: accumulate the sum via log-sum-exp, then 1 - e^T stably
-    ln_q = _log_q(k, n, params)
-    t = (n - k + 1) * math.log(params.beta) + ln_q
-    return -math.expm1(min(t, 0.0))
-
-
-def _log_q(k: int, n: int, params: AlphabetParams) -> float:
-    """ln of sum_i alpha^i C(n-k+i, i) for i in [0, k), via log-sum-exp.
-
-    All three lgamma factors come from the same lookup so the i = 0 term
-    cancels to exactly 0 (q(1, n) must be exactly 1)."""
-    ln_a = math.log(params.alpha)
-    i = np.arange(k)
-    terms = (
-        i * ln_a
-        + _gammaln_int(n - k + i + 1)
-        - _gammaln_int(i + 1)
-        - _gammaln_int(n - k + 1)
-    )
-    return float(logsumexp(terms))
-
-
-_GAMMALN_CACHE: np.ndarray = np.array([])
-
-
-def _gammaln_int(idx):
-    """lgamma over non-negative integer arguments via a growing lookup."""
-    global _GAMMALN_CACHE
-    top = int(np.max(idx)) if np.ndim(idx) else int(idx)
-    if top >= _GAMMALN_CACHE.size:
-        size = max(top + 1, 2 * _GAMMALN_CACHE.size, 1024)
-        table = np.zeros(size)
-        table[0] = np.inf  # lgamma(0) diverges; index 0 is never used
-        table[2:] = np.cumsum(np.log(np.arange(1, size - 1)))  # lgamma(m) = ln (m-1)!
-        _GAMMALN_CACHE = table
-    return _GAMMALN_CACHE[idx]
+    if mode is None:
+        mode = default_mode(params.sigma_size, n)
+    return _point(_closed_row, k, n, params, mode)
 
 
 def prob_closed_product(k: int, n: int, params: AlphabetParams) -> float:
-    """Product-form closed evaluation.
-
-    p = 1 - beta^(n-k+1) - beta^(n-k+1) * sum_{i>=1} prod_{j<=i} alpha*(n-k+j)/j,
-    with the inner product carried incrementally from one i to the next.
-    """
-    if k < 0 or n < 0:
-        raise DomainError(f"k and n must be >= 0, got k={k} n={n}")
-    if k == 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    if params.degenerate:
-        return 1.0
-    raw = _closed_product_raw(k, n, params)
-    return min(1.0, max(0.0, raw))
-
-
-def _closed_product_raw(k: int, n: int, params: AlphabetParams) -> float:
-    total = 0.0
-    prod = 1.0
-    for i in range(1, k):
-        prod *= params.alpha * (n - k + i) / i
-        total += prod
-    bpow = params.beta ** (n - k + 1)
-    return 1.0 - bpow - bpow * total
-
-
-def beta_density(x: float, a: float, b: float) -> float:
-    """Beta(a, b) probability density at x, evaluated through log-gamma."""
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"density evaluated at x={x}, need 0 < x < 1")
-    if a <= 0 or b <= 0:
-        raise DomainError(f"shape parameters must be positive, got a={a} b={b}")
-    log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_norm)
+    """Product-form closed evaluation (see `_product_row`), clamped."""
+    return _point(_product_row, k, n, params)
 
 
 def prob_beta_sum(k: int, n: int, params: AlphabetParams) -> float:
-    """p(k, n) as 1 - beta^(n-k+1) - alpha*beta * sum_i density_i / i.
+    """p(k, n) as a weighted sum of Beta densities (see `_beta_row`), clamped.
 
-    The i-th summand is the Beta(n-k+1, i) density at beta.  Matches the
-    direct closed form term by term; the base cases k = 0 and k > n bypass
-    the sum entirely.
+    Needs 0 < beta < 1, so the single-letter alphabet raises DomainError
+    wherever k <= n asks for the sum.
     """
-    if params.beta == 0.0 or params.beta == 1.0:
-        raise DomainError(
-            f"beta density form needs 0 < beta < 1 (alphabet size {params.sigma_size})"
-        )
-    if k < 0 or n < 0:
-        raise DomainError(f"k and n must be >= 0, got k={k} n={n}")
-    if k == 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    raw = _beta_sum_raw(k, n, params)
-    return min(1.0, max(0.0, raw))
-
-
-def _beta_sum_raw(k: int, n: int, params: AlphabetParams) -> float:
-    total = 0.0
-    for i in range(1, k):
-        total += beta_density(params.beta, n - k + 1, i) / i
-    bpow = params.beta ** (n - k + 1)
-    return 1.0 - bpow - params.alpha * params.beta * total
+    return _point(_beta_row, k, n, params, route=_BETA_FORM)
 
 
 def q_value(
@@ -434,32 +452,20 @@ def q_value(
 ) -> float:
     """Rescaled tail q(k, n) = sum_{i<k} alpha^i C(n-k+i, i).
 
-    Equals (1 - p(k, n)) / beta^(n-k+1).  LOGSPACE mode returns ln q.
-    Undefined on the single-letter alphabet.
+    Equals (1 - p(k, n)) / beta^(n-k+1) for k <= n; the sum is empty at
+    k = 0 and its binomials vanish at k > n, so q = 0 there.  LOGSPACE
+    mode returns ln q.  The single-letter alphabet raises DomainError
+    wherever k <= n asks for the sum.
     """
-    if params.degenerate:
-        raise DomainError("q(k, n) is undefined for a single-letter alphabet")
-    if k < 0 or n < 0:
-        raise DomainError(f"k and n must be >= 0, got k={k} n={n}")
-    if k == 0:
-        return -math.inf if mode is NumericMode.LOGSPACE else 0.0
-    if mode is NumericMode.LOGSPACE:
-        return _log_q(k, n, params)
-    ln_a = math.log(params.alpha)
-    s = 0.0
-    for i in range(k):
-        top = n - k + i
-        if top < i:
-            continue  # vanishing binomial (only reachable when k > n)
-        if top <= _FACTORIAL_CUTOFF:
-            s += params.alpha**i * math.comb(top, i)
-        else:
-            s += math.exp(i * ln_a + _log_binom(top, i))
-    return s
+    if _base_p(k, n, params, "q(k, n)") is None:
+        ln_q = float(_log_q_row(k, np.array([n]), params)[0])
+    else:
+        ln_q = -math.inf
+    return ln_q if mode is NumericMode.LOGSPACE else math.exp(ln_q)
 
 
 # --------------------------------------------------------------------------
-# whole-grid evaluators (row-vectorised; used by cross_validate and tests)
+# whole-grid evaluators (used by cross_validate and tests)
 # --------------------------------------------------------------------------
 
 
@@ -467,86 +473,17 @@ def closed_grid(
     sigma_size: int, n_max: int, mode: NumericMode = NumericMode.LOGSPACE
 ) -> np.ndarray:
     """Unclamped closed-form p over the full (k, n) grid."""
-    params = AlphabetParams(sigma_size)
-    size = n_max + 1
-    grid = np.zeros((size, size))
-    grid[0, :] = 1.0
-    if params.degenerate:
-        for n in range(size):
-            grid[0 : n + 1, n] = 1.0
-        return grid
-    ln_a = math.log(params.alpha)
-    ln_b = math.log(params.beta)
-    _gammaln_int(2 * n_max + 2)  # warm the lookup once
-    for k in range(1, size):
-        n = np.arange(k, size)
-        i = np.arange(k)[:, None]
-        log_terms = (
-            i * ln_a
-            + _gammaln_int(n - k + i + 1)
-            - _gammaln_int(i + 1)
-            - _gammaln_int(n - k + 1)
-        )
-        if mode is NumericMode.LOGSPACE:
-            ln_q = logsumexp(log_terms, axis=0)
-            t = np.minimum((n - k + 1) * ln_b + ln_q, 0.0)
-            grid[k, k:] = -np.expm1(t)
-        else:
-            s = np.exp(log_terms).sum(axis=0)
-            grid[k, k:] = 1.0 - np.exp((n - k + 1) * ln_b) * s
-    return grid
+    return _grid(_closed_row, sigma_size, n_max, mode)
 
 
 def closed_product_grid(sigma_size: int, n_max: int) -> np.ndarray:
-    """Unclamped product-form p over the full grid (cumulative products)."""
-    params = AlphabetParams(sigma_size)
-    size = n_max + 1
-    grid = np.zeros((size, size))
-    grid[0, :] = 1.0
-    if params.degenerate:
-        for n in range(size):
-            grid[0 : n + 1, n] = 1.0
-        return grid
-    for k in range(1, size):
-        n = np.arange(k, size)
-        bpow = params.beta ** (n - k + 1).astype(float)
-        if k == 1:
-            grid[k, k:] = 1.0 - bpow
-            continue
-        j = np.arange(1, k)[:, None]
-        ratios = params.alpha * (n - k + j) / j
-        total = np.cumprod(ratios, axis=0).sum(axis=0)
-        grid[k, k:] = 1.0 - bpow - bpow * total
-    return grid
+    """Unclamped product-form p over the full grid."""
+    return _grid(_product_row, sigma_size, n_max)
 
 
 def beta_sum_grid(sigma_size: int, n_max: int) -> np.ndarray:
     """Unclamped Beta-density-sum p over the full grid."""
-    params = AlphabetParams(sigma_size)
-    if params.degenerate:
-        raise DomainError("beta density form needs a multi-letter alphabet")
-    size = n_max + 1
-    grid = np.zeros((size, size))
-    grid[0, :] = 1.0
-    ln_a = math.log(params.alpha)
-    ln_b = math.log(params.beta)
-    _gammaln_int(2 * n_max + 2)
-    for k in range(1, size):
-        n = np.arange(k, size)
-        bpow = np.exp((n - k + 1) * ln_b)
-        if k == 1:
-            grid[k, k:] = 1.0 - bpow
-            continue
-        i = np.arange(1, k)[:, None]
-        a = n - k + 1
-        log_density = (
-            (a - 1) * ln_b
-            + (i - 1) * ln_a
-            - (_gammaln_int(a) + _gammaln_int(i) - _gammaln_int(a + i))
-        )
-        total = (np.exp(log_density) / i).sum(axis=0)
-        grid[k, k:] = 1.0 - bpow - params.alpha * params.beta * total
-    return grid
+    return _grid(_beta_row, sigma_size, n_max, route=_BETA_FORM)
 
 
 @dataclass(frozen=True)

@@ -368,6 +368,16 @@ class TestProbe:
         assert byk[1] == 1.0
         assert all(math.isfinite(v) and v > 0 for k, v in byk.items() if k >= 1)
 
+    def test_q_is_zero_above_n(self, capsys):
+        code, out, err = run_cli(
+            capsys, "probe", "--sigma", "4", "--n", "3", "--k-range", "0:6", "--q"
+        )
+        assert code == EXIT_OK
+        assert err == ""
+        values = [r["value"] for r in csv.DictReader(io.StringIO(out))]
+        assert values[:4] == ["0.0", "1.0", "1.5", "1.3125"]
+        assert values[4:] == ["0.0", "0.0", "0.0"]
+
     def test_methods_agree(self, capsys):
         outputs = {}
         for method in ("table", "closed", "closed2", "beta"):

@@ -18,6 +18,7 @@ from lcsbeam.datasets import (
     load_plain,
     save_plain,
 )
+from lcsbeam.instance import build_instance
 
 WORKED_FILE = "2 3\nABC\n8 BCABAABC\n8 CAACBBAA\n"
 
@@ -81,6 +82,23 @@ class TestPlainFormat:
         assert again.strings == inst.strings
         assert dump_plain(again) == dump_plain(inst)
 
+
+    @pytest.mark.parametrize("alphabet", ["AB", "01", "0"])
+    def test_empty_strings_round_trip(self, tmp_path, alphabet):
+        # dump_plain writes an empty string as "0 ", also when '0' is a symbol
+        inst = build_instance(alphabet, ["", alphabet, "", alphabet[0] * 3])
+        path = tmp_path / "empties.txt"
+        save_plain(inst, path)
+        again, desc = load_plain(path)
+        assert again.strings == inst.strings
+        assert desc.lengths == (0, len(alphabet), 0, 3)
+        assert dump_plain(again) == path.read_text()
+
+    def test_one_field_zero_is_a_string(self, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("2 2\n01\n0\n1 0\n")
+        inst, _ = load_plain(path)
+        assert inst.strings == ("0", "0")
 
 class TestFasta:
     def test_two_records(self, tmp_path):

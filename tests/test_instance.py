@@ -4,7 +4,10 @@ worked example S = {"BCABAABC", "CAACBBAA"} over {A, B, C}."""
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsbeam.instance import NO_OCCURRENCE, build_instance, reconstruct_solution
 from lcsbeam.oracle import exact_lcs2, exact_lcs3
@@ -67,6 +70,53 @@ class TestBuild:
     def test_rejects_duplicate_alphabet(self):
         with pytest.raises(ValueError):
             build_instance("ABA", ["AB", "BA"])
+
+
+def loop_tables(inst):
+    """The instance tables as a loop over (string, symbol) columns builds them."""
+    n, sigma, width = inst.n_strings, inst.sigma_size, inst.max_len + 1
+    nxt = np.full((n, width, sigma), NO_OCCURRENCE, dtype=np.int32)
+    cnt = np.zeros((n, width, sigma), dtype=np.int32)
+    for i, s in enumerate(inst.strings):
+        length = len(s)
+        codes = np.array([inst.symbol_code(ch) for ch in s], dtype=np.int32)
+        for c in range(sigma):
+            hits = np.nonzero(codes == c)[0]
+            col = np.full(length + 1, NO_OCCURRENCE, dtype=np.int32)
+            col[hits] = hits
+            np.minimum.accumulate(col[::-1], out=col[::-1])
+            nxt[i, : length + 1, c] = col
+            occ = np.zeros(length + 1, dtype=np.int32)
+            occ[:length][::-1] = np.cumsum((codes == c)[::-1])
+            cnt[i, : length + 1, c] = occ
+    return nxt, cnt
+
+
+@st.composite
+def alphabet_and_strings(draw):
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[: draw(st.integers(1, 26))]
+    strings = draw(
+        st.lists(st.text(alphabet, max_size=40), min_size=2, max_size=6)
+    )
+    return alphabet, strings
+
+
+class TestTablesMatchColumnLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(alphabet_and_strings())
+    def test_bitwise_equal(self, case):
+        # unequal lengths, empty strings included
+        inst = build_instance(*case)
+        nxt, cnt = loop_tables(inst)
+        assert inst.next_table.dtype == nxt.dtype and inst.suffix_table.dtype == cnt.dtype
+        assert np.array_equal(inst.next_table, nxt)
+        assert np.array_equal(inst.suffix_table, cnt)
+
+    def test_all_empty(self):
+        inst = build_instance("AB", ["", ""])
+        nxt, cnt = loop_tables(inst)
+        assert np.array_equal(inst.next_table, nxt)
+        assert np.array_equal(inst.suffix_table, cnt)
 
 
 class TestSuccessor:

@@ -251,6 +251,14 @@ class TestQValue:
         with pytest.raises(DomainError):
             q_value(2, 3, AlphabetParams(1))
 
+    def test_k_above_n_is_zero(self):
+        # every binomial C(n-k+i, i) with i < k vanishes once k > n
+        for sigma in (2, 4, 26):
+            p = AlphabetParams(sigma)
+            for n, k in [(0, 1), (3, 4), (3, 5), (3, 6), (400, 401), (400, 900)]:
+                assert q_value(k, n, p) == 0.0
+                assert q_value(k, n, p, NumericMode.LOGSPACE) == -math.inf
+
     def test_q_consistency_identity(self):
         # (1 - p) = q * beta^(n-k+1), relative 1e-9 where p is not saturated
         for sigma in (2, 4, 20):
@@ -263,6 +271,65 @@ class TestQValue:
                     lhs = 1.0 - pv
                     rhs = q_value(k, n, p) * p.beta ** (n - k + 1)
                     assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+ROUTE_N_MAX = 120
+SCALARS = {
+    "closed": lambda k, n, p, mode: prob_closed(k, n, p, mode),
+    "closed2": lambda k, n, p, mode: prob_closed_product(k, n, p),
+    "beta": lambda k, n, p, mode: prob_beta_sum(k, n, p),
+}
+
+
+@pytest.fixture(scope="module")
+def route_grids():
+    """The exact grid and each float route's grid per alphabet size, built once."""
+    cache = {}
+
+    def grids(sigma):
+        if sigma not in cache:
+            n_max = ROUTE_N_MAX + 1  # so that k = n + 1 has a cell
+            cache[sigma] = exact_float_grid(sigma, n_max), {
+                ("closed", NumericMode.LINEAR): closed_grid(sigma, n_max, NumericMode.LINEAR),
+                ("closed", NumericMode.LOGSPACE): closed_grid(sigma, n_max, NumericMode.LOGSPACE),
+                ("closed2", None): closed_product_grid(sigma, n_max),
+                ("beta", None): beta_sum_grid(sigma, n_max),
+            }
+        return cache[sigma]
+
+    return grids
+
+
+class TestOneRowPerRoute:
+    """A route's scalar entry point is its grid, cell by cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 26), st.integers(0, ROUTE_N_MAX), st.data())
+    def test_scalar_is_grid_cell(self, route_grids, sigma, n, data):
+        k = data.draw(st.integers(0, n + 1))
+        p = AlphabetParams(sigma)
+        exact, grids = route_grids(sigma)
+        for (route, mode), grid in grids.items():
+            value = SCALARS[route](k, n, p, mode)
+            assert value == pytest.approx(min(1.0, max(0.0, grid[k, n])), abs=1e-12)
+            assert value == pytest.approx(exact[k, n], abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 26), st.integers(0, ROUTE_N_MAX), st.data())
+    def test_q_is_the_closed_form_tail(self, sigma, n, data):
+        k = data.draw(st.integers(0, n + 1))
+        p = AlphabetParams(sigma)
+        q_lin = q_value(k, n, p)
+        ln_q = q_value(k, n, p, NumericMode.LOGSPACE)
+        assert q_lin == pytest.approx(math.exp(ln_q), rel=1e-12)
+        if k > n:
+            assert q_lin == 0.0 and ln_q == -math.inf
+            return
+        for mode in (NumericMode.LINEAR, NumericMode.LOGSPACE):
+            pv = prob_closed(k, n, p, mode)
+            if pv >= 1 - 1e-6:
+                continue  # 1 - p has lost its digits
+            assert q_lin * p.beta ** (n - k + 1) == pytest.approx(1.0 - pv, rel=1e-9)
 
 
 class TestCrossValidation:
