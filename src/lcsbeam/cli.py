@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import statistics
 import sys
 from dataclasses import replace
@@ -42,7 +41,6 @@ from .probability import (
     AlphabetParams,
     CapacityError,
     DomainError,
-    NumericMode,
     prob_beta_sum,
     prob_closed,
     prob_closed_product,
@@ -405,10 +403,7 @@ def cmd_probe(args) -> int:
         column = table_column(args.sigma, args.n, hi)
     for k in range(lo, hi + 1):
         if args.q:
-            if k == 0:
-                value = 0.0
-            else:
-                value = math.exp(q_value(k, args.n, params, NumericMode.LOGSPACE))
+            value = q_value(k, args.n, params)
         elif args.method == "table":
             value = column[k]
         elif args.method == "closed":

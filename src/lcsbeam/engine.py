@@ -28,7 +28,8 @@ longest remainder.  Its children are listed symbol-major, then by
 parent, and the rank sort is stable: children equal in score and cursor
 vector share their last symbol, so among them the lower parent index
 ranks first.  Per-level parent/symbol arrays form the arena that the
-final solution is reconstructed from.
+final solution is reconstructed from.  An upper bound on all of this,
+`search_bytes`, is checked against the memory budget before the first level.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .heuristics import (
     select_k,
 )
 from .instance import NO_OCCURRENCE, Instance
-from .probability import ProbKernel, get_kernel
+from .probability import check_budget, get_kernel
 
 # Ties in score rank by cursor vector, lexicographically ascending.
 TIE_BREAK = "cursor-lex"
@@ -141,16 +142,16 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     if instance is None or instance.n_strings == 0:
         raise ValueError("beam search needs a non-empty instance")
     beta = config.beta if width is None else width
-    spec = config.heuristic
-    kernel: ProbKernel | None = None
-    if spec.kind.uses_probability:
-        # its O(max_len) lookup is built outside the timed section; the
-        # per-level rows are built inside it
-        kernel = get_kernel(instance.sigma_size, instance.max_len)
-    gamma = spec.gamma(instance.n_strings)
-
     n = instance.n_strings
     sigma = instance.sigma_size
+    need = search_bytes(beta, n, sigma, instance.max_len)
+    check_budget(need, f"search for beta={beta}, N={n}, sigma={sigma}")
+    spec = config.heuristic
+    # its O(max_len) lookup is built outside the timed section; the
+    # per-level rows are built inside it
+    kernel = get_kernel(sigma, instance.max_len) if spec.kind.uses_probability else None
+    gamma = spec.gamma(n)
+
     lengths = instance.lengths[None, :]
     # string i's rows of the next table start at i * (max_len + 1) once it is
     # flattened (a view); intp, so beam + offsets cannot overflow int32
@@ -183,15 +184,9 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
             scores = score_gcov_batch(remainders, ubs, gamma)
         else:
             lo, hi = int(remainders.min()), int(remainders.max())
-            if spec.fixed_k is not None:
-                k = spec.fixed_k
-            else:
+            k = spec.fixed_k
+            if k is None:
                 k = select_k(spec, lo, hi, sigma, n)
-                # cap at the smallest remainder of the level so every child
-                # is scored with the same finite k; letting k overshoot any
-                # remainder sends scores to -inf and erases the ranking
-                # signal exactly when the endgame needs it
-                k = max(1, min(k, lo))
             scores = score_prob_batch(remainders, k, kernel, hi, lo)
         nodes_expanded += len(scores)
 
@@ -217,6 +212,24 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     if not report.verified:
         raise AssertionError("search produced an invalid solution (engine bug)")
     return report
+
+
+def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
+    """Upper bound on the array bytes a search at `width` holds at one time.
+
+    A level has at most width * sigma children.  Each (child, string) cell
+    takes at most 30 bytes: the int32 gather with its bool mask, the int32
+    cursors and remainders, a probability score's int32 index and float64
+    gathered row, and the rank's int32 cursor copy with the merge's bool
+    comparison.  Each child adds 48 bytes of int64/float64 vectors and
+    gcov's two int32 (children, sigma) blocks, the beam its intp index, a
+    probability score its O(max_len) row.  The arena keeps an int64 parent
+    and an int16 symbol per kept child for each of at most max_len levels;
+    the Python objects holding them (about 300 bytes a level) are not counted.
+    """
+    per_child = n_strings * 30 + 48 + 8 * sigma
+    level = width * sigma * per_child + width * n_strings * 8 + 48 * (max_len + 1)
+    return level + max_len * width * 10
 
 
 def occurrence_bounds(suffix_table: np.ndarray, cursors: np.ndarray) -> np.ndarray:

@@ -116,7 +116,9 @@ def select_k(
     """Target subsequence length for the probability product.
 
     min/max_remaining aggregate over every remainder of every child at the
-    current level.  The result is clamped into [1, max_remaining].
+    current level.  The result is clamped into [1, max(1, min_remaining)]:
+    a k above any remainder sends that child's score to -inf and erases
+    the ranking signal exactly when the endgame needs it.
     """
     kind = spec.kind
     if kind is HeuristicKind.PROB_K_GUESS:
@@ -129,8 +131,7 @@ def select_k(
         k = math.floor((min_remaining - spec.c) / sigma_size)
     else:
         raise ValueError(f"{kind} has no k-selection rule")
-    k = min(int(k), int(max_remaining))
-    return max(1, k)
+    return max(1, min(int(k), int(min_remaining)))
 
 
 def score_prob(
@@ -187,9 +188,7 @@ def score_prob_batch(
     `n_lo` and `n_hi` bound the entries of `remaining` when the caller
     knows them; the p(k, .) row is then built only over that window.
     """
-    row = kernel.log_row(k, n_hi, n_lo)
-    with np.errstate(invalid="ignore"):
-        return row[remaining - n_lo].sum(axis=1)
+    return kernel.log_row(k, n_hi, n_lo)[remaining - n_lo].sum(axis=1)
 
 
 def score_gcov_batch(

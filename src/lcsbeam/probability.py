@@ -210,11 +210,10 @@ def build_log_table(sigma_size: int, n_max: int) -> np.ndarray:
         return log_vals
     ln_a = math.log(params.alpha)
     ln_b = math.log(params.beta)
-    with np.errstate(invalid="ignore"):
-        for n in range(1, size):
-            log_vals[1 : n + 1, n] = np.logaddexp(
-                ln_a + log_vals[0:n, n - 1], ln_b + log_vals[1 : n + 1, n - 1]
-            )
+    for n in range(1, size):
+        log_vals[1 : n + 1, n] = np.logaddexp(
+            ln_a + log_vals[0:n, n - 1], ln_b + log_vals[1 : n + 1, n - 1]
+        )
     # float noise in the saturated region can nudge ln p above 0
     np.minimum(log_vals, 0.0, out=log_vals)
     return log_vals
@@ -320,13 +319,15 @@ def _closed_row(
 def _product_row(k: int, n: np.ndarray, params: AlphabetParams) -> np.ndarray:
     """Product-form p over the vector n.
 
-    p = 1 - beta^(n-k+1) - beta^(n-k+1) * sum_{1<=i<k} prod_{j<=i} alpha*(n-k+j)/j,
-    with the inner products accumulated over j.
+    p = 1 - beta^(n-k+1) - sum_{1<=i<k} beta^(n-k+1) prod_{j<=i} alpha*(n-k+j)/j,
+    each term a running sum of logs over j from ln beta^(n-k+1); a term is a
+    probability, so unlike the bare products it cannot overflow.
     """
     j = np.arange(1, k)[:, None]
-    total = np.cumprod(params.alpha * (n - k + j) / j, axis=0).sum(axis=0)
-    bpow = params.beta ** (n - k + 1)
-    return 1.0 - bpow - bpow * total
+    log_terms = (n - k + 1) * math.log(params.beta) + np.cumsum(
+        np.log(params.alpha * (n - k + j) / j), axis=0
+    )
+    return 1.0 - params.beta ** (n - k + 1) - np.exp(log_terms).sum(axis=0)
 
 
 def _beta_row(k: int, n: np.ndarray, params: AlphabetParams) -> np.ndarray:
@@ -454,14 +455,20 @@ def q_value(
 
     Equals (1 - p(k, n)) / beta^(n-k+1) for k <= n; the sum is empty at
     k = 0 and its binomials vanish at k > n, so q = 0 there.  LOGSPACE
-    mode returns ln q.  The single-letter alphabet raises DomainError
-    wherever k <= n asks for the sum.
+    mode returns ln q; the other modes return inf where q is beyond the
+    float range.  The single-letter alphabet raises DomainError wherever
+    k <= n asks for the sum.
     """
     if _base_p(k, n, params, "q(k, n)") is None:
         ln_q = float(_log_q_row(k, np.array([n]), params)[0])
     else:
         ln_q = -math.inf
-    return ln_q if mode is NumericMode.LOGSPACE else math.exp(ln_q)
+    if mode is NumericMode.LOGSPACE:
+        return ln_q
+    try:
+        return math.exp(ln_q)
+    except OverflowError:
+        return math.inf
 
 
 # --------------------------------------------------------------------------
@@ -547,8 +554,10 @@ class ProbKernel:
     A row comes from the closed form p(k, n) = P(Binomial(n, alpha) >= k):
     the k-th match falls at some position m <= n, which has probability
     C(m-1, k-1) alpha^k beta^(m-k), so ln p(k, n) is a running log-sum of
-    those terms over m = k..n.  Only an O(n_max) log-gamma lookup and the
-    last row are kept, so memory does not grow with n_max squared.
+    those terms over m = k..n.  A kernel holds only its parameters and an
+    O(n_max) log-gamma lookup and keeps nothing between calls, so each row
+    is a pure function of (k, window) and memory does not grow with n_max
+    squared.
     """
 
     def __init__(self, sigma_size: int, n_max: int):
@@ -557,16 +566,13 @@ class ProbKernel:
         self.params = AlphabetParams(sigma_size)
         self.n_max = n_max
         self._gammaln = gammaln(np.arange(n_max + 2))  # [j] = ln (j-1)!
-        # (k, n_lo, row) of the last row built; one tuple so that a thread
-        # reading it never pairs one k or window with another's row
-        self._last: tuple[int, int, np.ndarray] | None = None
 
     def log_p(self, k: int, n: int) -> float:
         if k == 0:
             return 0.0
         if k > n:
             return -math.inf
-        return float(self.log_row(k)[n])
+        return float(self.log_row(k, n)[n])
 
     def log_row(self, k: int, n_hi: int | None = None, n_lo: int = 0) -> np.ndarray:
         """Read-only ln p(k, n) for n = n_lo..min(n_hi, n_max); -inf where k > n.
@@ -577,47 +583,31 @@ class ProbKernel:
         is the tail ln P(Binomial(n_lo, alpha) >= k) (see `_log_tail`), and
         the running log-sum goes on from there over m = n_lo+1..n_hi; it
         rounds differently from the full row, by up to about
-        2e-11 * max(1, |ln p|).
-        The engine asks for the same k across many calls in a row, so the
-        last row is kept and handed out again to any call with the same k
-        whose window it covers.
+        2e-11 * max(1, |ln p|).  Every call builds its window afresh.
         """
         if k < 0:
             raise DomainError(f"k must be >= 0, got {k}")
         if n_lo < 0 or (n_hi is not None and n_hi < n_lo):
             raise DomainError(f"need 0 <= n_lo <= n_hi, got n_lo={n_lo} n_hi={n_hi}")
         hi = self.n_max if n_hi is None else min(n_hi, self.n_max)
-        last = self._last
-        if last is not None:
-            last_k, last_lo, last_row = last
-            if last_k == k and last_lo <= n_lo and hi < last_lo + len(last_row):
-                return last_row[n_lo - last_lo : hi - last_lo + 1]
-        row = self._build_row(k, n_lo, hi)
-        row.setflags(write=False)
-        self._last = (k, n_lo, row)
-        return row
-
-    def _build_row(self, k: int, lo: int, hi: int) -> np.ndarray:
-        row = np.full(max(hi - lo + 1, 0), -np.inf)
+        row = np.full(max(hi - n_lo + 1, 0), -np.inf)
+        first = max(k, n_lo)
         if k == 0 or self.params.degenerate:
             # p(0, n) = 1; single-letter strings contain every shorter pattern
-            row[max(k - lo, 0) :] = 0.0
-            return row
-        first = max(k, lo)
-        if first > hi:
-            return row
-        m = np.arange(first, hi + 1)
-        lg = self._gammaln
-        terms = (
-            k * math.log(self.params.alpha)
-            + (m - k) * math.log(self.params.beta)
-            + (lg[first : hi + 1] - lg[k] - lg[first - k + 1 : hi - k + 2])
-        )
-        if lo > k:
-            terms[0] = self._log_tail(k, lo)  # stands for the terms m = k..lo
-        np.logaddexp.accumulate(terms, out=row[first - lo :])
-        # float noise in the saturated region can nudge ln p above 0
-        np.minimum(row, 0.0, out=row)
+            row[first - n_lo :] = 0.0
+        elif first <= hi:
+            lg = self._gammaln
+            terms = (
+                k * math.log(self.params.alpha)
+                + (np.arange(first, hi + 1) - k) * math.log(self.params.beta)
+                + (lg[first : hi + 1] - lg[k] - lg[first - k + 1 : hi - k + 2])
+            )
+            if n_lo > k:
+                terms[0] = self._log_tail(k, n_lo)  # stands for the terms m = k..n_lo
+            np.logaddexp.accumulate(terms, out=row[first - n_lo :])
+            # float noise in the saturated region can nudge ln p above 0
+            np.minimum(row, 0.0, out=row)
+        row.setflags(write=False)
         return row
 
     def _log_tail(self, k: int, n: int) -> float:

@@ -225,6 +225,15 @@ class TestSolve:
         assert code == EXIT_DATASET
         assert err.startswith("capacity error: instance tables for N=10")
 
+    def test_search_over_budget_is_capacity_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
+        code, _, err = run_cli(
+            capsys, "solve", "--gen", "uncorr", "--sigma", "4", "--n", "200", "--len", "20",
+            "--seed", "1", "--heuristic", "minlen", "--beta", "2000",
+        )
+        assert code == EXIT_DATASET
+        assert err.startswith("capacity error: search for beta=2000, N=200, sigma=4")
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--bogus"])
@@ -340,6 +349,21 @@ class TestSweep:
             assert row["status"].startswith("error: instance tables for N=10, max_len=200")
             assert row["length"] == ""
 
+    def test_search_over_budget_is_a_row(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("gen: uncorr sigma=4 n=200 len=20 seed=1\n")
+        out_csv = tmp_path / "out.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--manifest", str(manifest), "--heuristics", "minlen",
+            "--out", str(out_csv), "--beta", "2000",
+        )
+        assert code == EXIT_PARTIAL
+        rows = [r for r in read_csv(out_csv) if r["dataset"] != "average"]
+        assert len(rows) == 1
+        assert rows[0]["status"].startswith("error: search for beta=2000, N=200, sigma=4")
+        assert rows[0]["length"] == ""
+
     def test_file_entries(self, capsys, tmp_path):
         data = tmp_path / "worked.txt"
         data.write_text(WORKED_FILE)
@@ -377,6 +401,15 @@ class TestProbe:
         values = [r["value"] for r in csv.DictReader(io.StringIO(out))]
         assert values[:4] == ["0.0", "1.0", "1.5", "1.3125"]
         assert values[4:] == ["0.0", "0.0", "0.0"]
+
+    def test_q_beyond_the_float_range(self, capsys):
+        # ln q = 2079, past the largest finite float
+        code, out, err = run_cli(
+            capsys, "probe", "--sigma", "2", "--n", "6000", "--k-range", "3000:3000", "--q"
+        )
+        assert code == EXIT_OK
+        assert err == ""
+        assert [r["value"] for r in csv.DictReader(io.StringIO(out))] == ["inf"]
 
     def test_methods_agree(self, capsys):
         outputs = {}

@@ -2,6 +2,7 @@
 duplicate merging, and the two-heuristic wrapper."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,11 +12,13 @@ from lcsbeam.engine import (
     RunReport,
     beam_search,
     hyper_heuristic,
+    search_bytes,
     verify_solution,
 )
 from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
 from lcsbeam.instance import build_instance
 from lcsbeam.oracle import exact_lcs2, exhaustive_lcs
+from lcsbeam.probability import CapacityError
 
 MINLEN = HeuristicSpec(kind=HeuristicKind.MINLEN)
 GUESS = HeuristicSpec(kind=HeuristicKind.PROB_K_GUESS)
@@ -152,6 +155,34 @@ class TestLongInstances:
         report = beam_search(inst, cfg(UNCORR, beta=1))
         assert report.verified
         assert report.length > 0
+
+
+class TestSearchBudget:
+    def test_search_over_budget_is_refused(self, monkeypatch):
+        # the tables take 131 KiB; the search at beta=2000 is bounded at 49.8 MiB
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
+        inst, _ = gen_uncorrelated(4, 200, 20, 1)
+        with pytest.raises(CapacityError, match="beta=2000, N=200, sigma=4"):
+            beam_search(inst, cfg(MINLEN, beta=2000))
+        # a probe is checked at its own width
+        assert beam_search(inst, cfg(MINLEN, beta=2000), width=5).verified
+
+    @pytest.mark.parametrize("spec", [MINLEN, UNCORR, GCOV])
+    @pytest.mark.parametrize(
+        "sigma,n,length,beta,merge",
+        [(20, 30, 80, 40, False), (2, 20, 150, 300, True), (26, 2, 60, 100, False)],
+    )
+    def test_bound_covers_traced_peak(self, spec, sigma, n, length, beta, merge):
+        inst, _ = gen_uncorrelated(sigma, n, length, 3)
+        config = cfg(spec, beta=beta, dominance_filter=merge)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            beam_search(inst, config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= search_bytes(beta, n, sigma, inst.max_len)
 
 
 class TestHyperHeuristic:

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcsbeam.heuristics import (
     HeuristicKind,
@@ -47,6 +49,19 @@ class TestSelectK:
 
     def test_upper_clamp(self):
         assert select_k(UNCORR, 3, 3, 4, 10) <= 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=st.sampled_from([UNCORR, CORR, GUESS]),
+        lo=st.integers(0, 5000),
+        spread=st.integers(0, 5000),
+        sigma=st.integers(1, 30),
+        n_strings=st.integers(2, 300),
+    )
+    @example(spec=UNCORR, lo=10, spread=590, sigma=4, n_strings=10)  # the rule gives 219
+    def test_k_never_exceeds_the_shortest_remainder(self, spec, lo, spread, sigma, n_strings):
+        k = select_k(spec, lo, lo + spread, sigma, n_strings)
+        assert 1 <= k <= max(1, lo)
 
     def test_deterministic(self):
         args = (UNCORR, 123, 456, 4, 17)

@@ -10,6 +10,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -210,6 +211,22 @@ class TestClosedFormProduct:
                     prob_closed(k, n, p), abs=1e-9
                 )
 
+    def test_small_alphabet_at_large_n(self):
+        # the bare products reach inf while beta^(n-k+1) underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prob_closed_product(1500, 6000, AlphabetParams(2)) == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(sigma=st.sampled_from([2, 3, 4]), n=st.integers(0, 6000), data=st.data())
+    def test_matches_closed_up_to_large_n(self, sigma, n, data):
+        k = data.draw(st.integers(0, n + 1), label="k")
+        p = AlphabetParams(sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = prob_closed_product(k, n, p)
+        assert abs(got - prob_closed(k, n, p)) <= 1e-9
+
 
 class TestBetaForm:
     def test_density_value(self):
@@ -258,6 +275,12 @@ class TestQValue:
             for n, k in [(0, 1), (3, 4), (3, 5), (3, 6), (400, 401), (400, 900)]:
                 assert q_value(k, n, p) == 0.0
                 assert q_value(k, n, p, NumericMode.LOGSPACE) == -math.inf
+
+    def test_beyond_the_float_range(self):
+        # ln q(3000, 6000) = 2079 over the binary alphabet
+        p2 = AlphabetParams(2)
+        assert q_value(3000, 6000, p2, NumericMode.LOGSPACE) == pytest.approx(2079, abs=1)
+        assert q_value(3000, 6000, p2) == math.inf
 
     def test_q_consistency_identity(self):
         # (1 - p) = q * beta^(n-k+1), relative 1e-9 where p is not saturated
@@ -451,8 +474,7 @@ class TestKernelRows:
         kernel = ProbKernel(sigma, n_max)
         bound = st.integers(0, n_max + 2)
         ks = data.draw(st.lists(bound, min_size=1, max_size=3), label="ks")
-        # the first two calls share k and the second reaches further, so the
-        # memo of a truncated build is asked for more than it holds
+        # the first two calls share k and the second reaches further
         lo, hi = sorted(data.draw(st.tuples(bound, bound), label="first n_hi"))
         calls = [(ks[0], lo), (ks[0], hi)]
         calls += data.draw(st.lists(st.tuples(st.sampled_from(ks), bound), max_size=8))
@@ -463,6 +485,18 @@ class TestKernelRows:
             assert row.tobytes() == want.tobytes()
         with pytest.raises(DomainError):
             kernel.log_row(ks[0], -1)
+
+    def test_kernel_keeps_no_state(self):
+        kernel = ProbKernel(4, 500)
+        before = dict(vars(kernel))
+        for k, n_hi, n_lo in [(3, 400, 0), (3, 400, 10), (3, 500, 100), (0, None, 0),
+                              (250, 300, 260), (600, None, 0)]:
+            kernel.log_row(k, n_hi, n_lo)
+        kernel.log_p(7, 300)
+        kernel.p(2, 3)
+        after = vars(kernel)
+        assert after.keys() == before.keys()
+        assert all(after[name] is before[name] for name in before)
 
     def test_shared_kernel_across_threads(self):
         kernel = get_kernel(9, 2000)
@@ -582,8 +616,7 @@ class TestKernelWindows:
         bound = st.integers(0, n_max + 2)
         ks = data.draw(st.lists(bound, min_size=1, max_size=3), label="ks")
         # the first two calls share k and the second's window is wider on at
-        # least one side, so the memo of the first is asked for more than it
-        # holds; the third asks for the first window again
+        # least one side; the third asks for the first window again
         lo, a, b, hi = sorted(data.draw(st.tuples(bound, bound, bound, bound), label="n"))
         calls = [(ks[0], a, b), (ks[0], lo, hi), (ks[0], a, b)]
         windows = st.tuples(bound, bound).map(sorted)
