@@ -20,7 +20,13 @@ winner (first one on ties) at full width.
 Internally a level is one set of numpy arrays (cursors, parent indices,
 chosen symbols), gathered from the next-occurrence table in one step and
 scored in one call.  The gather is one `take` of whole rows from the
-table viewed as (N * (max_len + 1), sigma).  The gcov occurrence bound
+table viewed as (N * (max_len + 1), sigma), copied once, transposed, into
+a C-contiguous (B, sigma, N) block: feasibility is a reduction over its
+last axis, and the children's cursors are one `take` of its rows at
+parent * sigma + symbol.  The rank is two stable sorts, first of the
+cursor vectors, each read as one string of big-endian bytes, then of the
+negated scores in that order; the merge finds runs of equal vectors by
+comparing adjacent keys of the same kind.  The gcov occurrence bound
 is a running minimum over the strings of each child's suffix counts,
 one (children, sigma) block at a time, and a probability score builds
 its p(k, .) row only over the window from the level's shortest to its
@@ -167,14 +173,15 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     nodes_expanded = 0
 
     while True:
-        nxt = flat_next.take(beam + offsets, axis=0)  # (B, N, sigma)
-        feasible = (nxt != NO_OCCURRENCE).all(axis=1)  # (B, sigma)
+        # (B, sigma, N): a node's next positions for one symbol are one row
+        block = np.ascontiguousarray(flat_next.take(beam + offsets, axis=0).transpose(0, 2, 1))
+        feasible = (block != NO_OCCURRENCE).all(axis=2)  # (B, sigma)
         codes, parents = np.nonzero(feasible.T)  # symbol-major, then parent
         if len(codes) == 0:
             break
-        cursors = nxt[parents, :, codes]  # (children, N)
+        cursors = block.reshape(-1, n).take(parents * sigma + codes, axis=0)  # (children, N)
         cursors += 1
-        del nxt  # not needed past here; frees its memory before scoring
+        del block  # not needed past here; frees its memory before scoring
         remainders = lengths - cursors
 
         if spec.kind is HeuristicKind.MINLEN:
@@ -218,16 +225,22 @@ def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     """Upper bound on the array bytes a search at `width` holds at one time.
 
     A level has at most width * sigma children.  Each (child, string) cell
-    takes at most 30 bytes: the int32 gather with its bool mask, the int32
+    takes at most 37 bytes: the int32 gather and its transposed copy (alive
+    together for one statement) with the bool feasibility mask, the int32
     cursors and remainders, a probability score's int32 index and float64
-    gathered row, and the rank's int32 cursor copy with the merge's bool
-    comparison.  Each child adds 48 bytes of int64/float64 vectors and
-    gcov's two int32 (children, sigma) blocks, the beam its intp index, a
-    probability score its O(max_len) row.  The arena keeps an int64 parent
-    and an int16 symbol per kept child for each of at most max_len levels;
-    the Python objects holding them (about 300 bytes a level) are not counted.
+    gathered row, and two int32 copies in the rank (the candidates' cursors
+    and their byte-string keys) or in the merge (the keys and their ranked
+    gather).  Each child adds 96 bytes in twelve int64/float64 vectors (its
+    symbol, parent, block row and score; the rank's negated scores, their
+    partition copy, the candidate rows and their scores; the cursor-key
+    order, the scores gathered by it, their order and the composed order)
+    and gcov's two int32 (children, sigma) blocks, the beam its intp index,
+    a probability score its O(max_len) row.  The arena keeps an int64
+    parent and an int16 symbol per kept child for each of at most max_len
+    levels; the Python objects holding them (about 300 bytes a level) are
+    not counted.
     """
-    per_child = n_strings * 30 + 48 + 8 * sigma
+    per_child = n_strings * 37 + 96 + 8 * sigma
     level = width * sigma * per_child + width * n_strings * 8 + 48 * (max_len + 1)
     return level + max_len * width * 10
 
@@ -261,8 +274,18 @@ def _rank(scores: np.ndarray, cursors: np.ndarray, top: int) -> np.ndarray:
 
 
 def _lex_order(neg_scores: np.ndarray, cursors: np.ndarray) -> np.ndarray:
-    keys = tuple(cursors[:, i] for i in range(cursors.shape[1] - 1, -1, -1))
-    return np.lexsort(keys + (neg_scores,))
+    by_cursor = np.argsort(_row_keys(cursors), kind="stable")
+    return by_cursor[np.argsort(neg_scores[by_cursor], kind="stable")]
+
+
+def _row_keys(cursors: np.ndarray) -> np.ndarray:
+    """One fixed-width byte string per cursor row, ordered as the rows are.
+
+    Cursors are >= 0, so their big-endian unsigned bytes, read as one
+    string, compare in the lexicographic order of the rows.
+    """
+    big = np.ascontiguousarray(cursors, dtype=">u4")
+    return big.view(np.dtype((np.void, 4 * cursors.shape[1]))).ravel()
 
 
 def _merge_duplicates(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -272,9 +295,9 @@ def _merge_duplicates(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:
     adjacent and the first of each run is the one kept.
     """
     order = _rank(scores, cursors, len(scores))
-    ranked = cursors[order]
+    keys = _row_keys(cursors)[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first[1:] = keys[1:] != keys[:-1]
     return order[first]
 
 

@@ -568,6 +568,9 @@ class ProbKernel:
         self._gammaln = gammaln(np.arange(n_max + 2))  # [j] = ln (j-1)!
 
     def log_p(self, k: int, n: int) -> float:
+        """ln p(k, n); DomainError unless k >= 0 and 0 <= n <= n_max."""
+        if not 0 <= n <= self.n_max:
+            raise DomainError(f"need 0 <= n <= {self.n_max}, got n={n}")
         if k == 0:
             return 0.0
         if k > n:

@@ -441,6 +441,17 @@ class TestLogTable:
         with pytest.raises(DomainError):
             kern.log_row(-1)
 
+    @pytest.mark.parametrize("k,n", [(2, 51), (2, 60), (0, 70), (60, 55), (2, -1), (0, -1)])
+    def test_kernel_lookup_outside_its_range(self, k, n):
+        kern = ProbKernel(4, 50)
+        with pytest.raises(DomainError, match="n <= 50"):
+            kern.log_p(k, n)
+        with pytest.raises(DomainError, match="n <= 50"):
+            kern.p(k, n)
+        # n = n_max is inside the range
+        assert math.isfinite(kern.log_p(2, 50))
+        assert kern.log_p(60, 50) == -math.inf
+
 class TestKernelRows:
     """`ProbKernel` rows from the binomial tail against the table and mpmath."""
 
