@@ -19,14 +19,18 @@ winner (first one on ties) at full width.
 
 Internally a level is one set of numpy arrays (cursors, parent indices,
 chosen symbols), gathered from the next-occurrence table in one step and
-scored in one call.  The gather is one `take` of whole rows from the
-table viewed as (N * (max_len + 1), sigma), copied once, transposed, into
-a C-contiguous (B, sigma, N) block: feasibility is a reduction over its
-last axis, and the children's cursors are one `take` of its rows at
-parent * sigma + symbol.  The rank is two stable sorts, first of the
-cursor vectors, each read as one string of big-endian bytes, then of the
-negated scores in that order; the merge finds runs of equal vectors by
-comparing adjacent keys of the same kind.  The gcov occurrence bound
+scored in one call.  The level is string-major: the beam is a C-contiguous
+(N, B) cursor array, and one `take` of whole rows from the table viewed
+as (N * (max_len + 1), sigma) is the (N, B, sigma) block, so feasibility
+is a reduction over its leading axis and the children's cursors are one
+`take` of its columns at parent * sigma + symbol, an (N, children) array.
+The scorers, `occurrence_bounds`, the rank and the merge receive the
+transposed (children, N) views, and numpy reduces over their strings at
+the leading-axis speed of the base.  The rank is two stable sorts, first
+of the cursor vectors, each read as one string of big-endian bytes, then
+of the negated scores in that order; the merge builds those keys once,
+ranks every child, and finds runs of equal vectors by comparing adjacent
+ranked columns one string at a time.  The gcov occurrence bound
 is a running minimum over the strings of each child's suffix counts,
 one (children, sigma) block at a time, and a probability score builds
 its p(k, .) row only over the window from the level's shortest to its
@@ -158,52 +162,56 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     kernel = get_kernel(sigma, instance.max_len) if spec.kind.uses_probability else None
     gamma = spec.gamma(n)
 
-    lengths = instance.lengths[None, :]
+    lengths = instance.lengths[:, None]
     # string i's rows of the next table start at i * (max_len + 1) once it is
     # flattened (a view); intp, so beam + offsets cannot overflow int32
     stride = instance.max_len + 1
-    offsets = np.arange(n, dtype=np.intp) * stride
+    offsets = np.arange(n, dtype=np.intp)[:, None] * stride
     flat_next = instance.next_table.reshape(n * stride, sigma)
     suffix_table = instance.suffix_table
 
     t0 = time.perf_counter()
-    beam = np.zeros((1, n), dtype=np.int32)
+    beam = np.zeros((n, 1), dtype=np.int32)  # string-major: (N, B)
     arena: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, symbol codes)
     levels = 0
     nodes_expanded = 0
 
     while True:
-        # (B, sigma, N): a node's next positions for one symbol are one row
-        block = np.ascontiguousarray(flat_next.take(beam + offsets, axis=0).transpose(0, 2, 1))
-        feasible = (block != NO_OCCURRENCE).all(axis=2)  # (B, sigma)
+        # (N, B, sigma): string i's next positions for node b are one row
+        block = flat_next.take(beam + offsets, axis=0)
+        feasible = np.logical_and.reduce(block != NO_OCCURRENCE, axis=0)  # (B, sigma)
         codes, parents = np.nonzero(feasible.T)  # symbol-major, then parent
         if len(codes) == 0:
             break
-        cursors = block.reshape(-1, n).take(parents * sigma + codes, axis=0)  # (children, N)
+        cursors = block.reshape(n, -1).take(parents * sigma + codes, axis=1)  # (N, children)
         cursors += 1
         del block  # not needed past here; frees its memory before scoring
         remainders = lengths - cursors
+        # the scorers and the rank read (children, N) views of these arrays
+        cursor_rows, rem_rows = cursors.T, remainders.T
 
         if spec.kind is HeuristicKind.MINLEN:
-            scores = score_minlen_batch(remainders)
+            scores = score_minlen_batch(rem_rows)
         elif spec.kind is HeuristicKind.GCOV:
-            ubs = occurrence_bounds(suffix_table, cursors)
-            scores = score_gcov_batch(remainders, ubs, gamma)
+            ubs = occurrence_bounds(suffix_table, cursor_rows)
+            scores = score_gcov_batch(rem_rows, ubs, gamma)
         else:
             lo, hi = int(remainders.min()), int(remainders.max())
             k = spec.fixed_k
             if k is None:
                 k = select_k(spec, lo, hi, sigma, n)
-            scores = score_prob_batch(remainders, k, kernel, hi, lo)
+            scores = score_prob_batch(rem_rows, k, kernel, hi, lo)
         nodes_expanded += len(scores)
 
         if config.dominance_filter:
-            order = _merge_duplicates(cursors, scores)[:beta]
+            order = _merge_duplicates(cursor_rows, scores)[:beta]
         else:
-            order = _rank(scores, cursors, beta)
-        beam = cursors[order]
+            order = _rank(scores, cursor_rows, beta)
+        beam = cursors.take(order, axis=1)
         arena.append((parents[order], codes[order].astype(np.int16)))
         levels += 1
+        # free this level's (N, children) arrays before the next gather
+        del cursors, remainders, cursor_rows, rem_rows
 
     wall = time.perf_counter() - t0
     solution = _walk_arena(instance, arena)
@@ -225,23 +233,25 @@ def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     """Upper bound on the array bytes a search at `width` holds at one time.
 
     A level has at most width * sigma children.  Each (child, string) cell
-    takes at most 37 bytes: the int32 gather and its transposed copy (alive
-    together for one statement) with the bool feasibility mask, the int32
-    cursors and remainders, a probability score's int32 index and float64
-    gathered row, and two int32 copies in the rank (the candidates' cursors
-    and their byte-string keys) or in the merge (the keys and their ranked
-    gather).  Each child adds 96 bytes in twelve int64/float64 vectors (its
-    symbol, parent, block row and score; the rank's negated scores, their
-    partition copy, the candidate rows and their scores; the cursor-key
-    order, the scores gathered by it, their order and the composed order)
-    and gcov's two int32 (children, sigma) blocks, the beam its intp index,
-    a probability score its O(max_len) row.  The arena keeps an int64
-    parent and an int16 symbol per kept child for each of at most max_len
-    levels; the Python objects holding them (about 300 bytes a level) are
-    not counted.
+    takes at most 34 bytes: the int32 gathered block with its bool
+    feasibility mask, the int32 cursors and remainders, a probability
+    score's int32 window index and float64 gathered row (gcov's int64
+    squares are smaller), and two int32 copies in the rank (the
+    candidates' columns and their byte-string keys) or, in the merge, the
+    keys, the ranked columns and their bool comparison.  Each child adds
+    96 bytes in twelve int64/float64 vectors (its symbol, parent, block
+    row and score; the rank's negated scores, their partition copy, the
+    candidate rows and their scores; the key order, the scores gathered by
+    it, their order and the composed order; a scorer's own vectors, gcov's
+    moments among them, are gone before the rank starts) and gcov's two
+    int32 (children, sigma) blocks, the beam its int32 cursors and intp
+    index, a probability score its O(max_len) row.  The arena keeps an
+    int64 parent and an int16 symbol per kept child for each of at most
+    max_len levels; the Python objects holding them (about 300 bytes a
+    level) are not counted.
     """
-    per_child = n_strings * 37 + 96 + 8 * sigma
-    level = width * sigma * per_child + width * n_strings * 8 + 48 * (max_len + 1)
+    per_child = n_strings * 34 + 96 + 8 * sigma
+    level = width * sigma * per_child + width * n_strings * 12 + 48 * (max_len + 1)
     return level + max_len * width * 10
 
 
@@ -266,25 +276,28 @@ def _rank(scores: np.ndarray, cursors: np.ndarray, top: int) -> np.ndarray:
     """
     neg = -scores
     if top >= len(neg):
-        return _lex_order(neg, cursors)
+        return _lex_order(neg, _row_keys(cursors))
     cutoff = np.partition(neg, top - 1)[top - 1]
     # not `neg <= cutoff`: a NaN cutoff must keep every row, as the full sort would
     rows = np.flatnonzero(~(neg > cutoff))
-    return rows[_lex_order(neg[rows], cursors[rows])[:top]]
+    return rows[_lex_order(neg[rows], _row_keys(cursors, rows))[:top]]
 
 
-def _lex_order(neg_scores: np.ndarray, cursors: np.ndarray) -> np.ndarray:
-    by_cursor = np.argsort(_row_keys(cursors), kind="stable")
-    return by_cursor[np.argsort(neg_scores[by_cursor], kind="stable")]
+def _lex_order(neg_scores: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    by_key = np.argsort(keys, kind="stable")
+    return by_key[np.argsort(neg_scores[by_key], kind="stable")]
 
 
-def _row_keys(cursors: np.ndarray) -> np.ndarray:
-    """One fixed-width byte string per cursor row, ordered as the rows are.
+def _row_keys(cursors: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """One fixed-width byte string per cursor row (or per row in `rows`).
 
     Cursors are >= 0, so their big-endian unsigned bytes, read as one
-    string, compare in the lexicographic order of the rows.
+    string, compare in the lexicographic order of the rows.  The rows are
+    gathered as columns of the string-major (N, rows) array under
+    `cursors`, and one transposing cast lays out the keys.
     """
-    big = np.ascontiguousarray(cursors, dtype=">u4")
+    columns = cursors.T if rows is None else cursors.T.take(rows, axis=1)
+    big = np.ascontiguousarray(columns.T, dtype=">u4")
     return big.view(np.dtype((np.void, 4 * cursors.shape[1]))).ravel()
 
 
@@ -292,12 +305,13 @@ def _merge_duplicates(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Indices of one child per distinct cursor vector, in rank order.
 
     Copies of a vector share its score, so after the full rank they are
-    adjacent and the first of each run is the one kept.
+    adjacent and the first of each run is the one kept.  Runs are found
+    by comparing adjacent ranked vectors one string at a time.
     """
-    order = _rank(scores, cursors, len(scores))
-    keys = _row_keys(cursors)[order]
+    order = _lex_order(-scores, _row_keys(cursors))
+    ranked = cursors.T.take(order, axis=1)
     first = np.ones(len(order), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+    first[1:] = np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=0)
     return order[first]
 
 

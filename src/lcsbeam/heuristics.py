@@ -187,15 +187,34 @@ def score_prob_batch(
 
     `n_lo` and `n_hi` bound the entries of `remaining` when the caller
     knows them; the p(k, .) row is then built only over that window.
+    The window index is laid out string-major whatever the caller's
+    layout, so each sum adds the strings in order and a child's score
+    depends only on its remainders.
     """
-    return kernel.log_row(k, n_hi, n_lo)[remaining - n_lo].sum(axis=1)
+    index = np.subtract(remaining.T, n_lo, order="C")
+    return kernel.log_row(k, n_hi, n_lo)[index].sum(axis=0)
+
+
+def remainder_moments(remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample variance (n-1 denominator) of each row's remainders.
+
+    Both come from the exact int64 sums s1 = sum(r) and s2 = sum(r^2):
+    mean = s1 / N and var = (N*s2 - s1^2) / (N*(N-1)).  N*s2 and s1^2 are
+    at most (N*max_len)^2, so nothing overflows while N*max_len < 3e9, and
+    each value is a single rounding of the exact quotient while
+    N*max_len < 2^26.5 (about 9.5e7), where the numerator is exact in a
+    float64.  Neither depends on the order in which the strings are added.
+    """
+    n = remaining.shape[1]
+    s1 = remaining.sum(axis=1, dtype=np.int64)
+    s2 = np.square(remaining, dtype=np.int64).sum(axis=1)
+    return s1 / n, (n * s2 - s1 * s1) / (n * (n - 1))
 
 
 def score_gcov_batch(
     remaining: np.ndarray, upper_bounds: np.ndarray, gamma: float
 ) -> np.ndarray:
-    mean = remaining.mean(axis=1)
-    var = remaining.var(axis=1, ddof=1)
+    mean, var = remainder_moments(remaining)
     denom = np.where(var > 0.0, var, 1.0) ** gamma
     return mean * mean / denom * np.sqrt(upper_bounds)
 

@@ -56,18 +56,34 @@ class Instance:
         self.sigma_size = len(symbols)
         self.n_strings = len(strings)
         self._code = {ch: c for c, ch in enumerate(symbols)}
-        for idx, s in enumerate(strings):
-            bad = set(s) - set(symbols)
-            if bad:
-                raise ValueError(
-                    f"string {idx} contains symbols outside the alphabet: "
-                    f"{sorted(bad)}"
-                )
+        codes = self._symbol_codes()
         self.lengths = np.array([len(s) for s in strings], dtype=np.int32)
         self.max_len = int(self.lengths.max())
-        self._build_tables()
+        self._build_tables(codes)
 
-    def _build_tables(self):
+    def _symbol_codes(self) -> list[np.ndarray]:
+        """Each string as an int32 array of symbol codes.
+
+        A string's code points are looked up among the alphabet's sorted
+        code points; one that is not found raises ValueError.
+        """
+        points = _code_points(self.alphabet)
+        by_point = np.argsort(points).astype(np.int32)
+        sorted_points = points[by_point]
+        last = len(points) - 1
+        out = []
+        for idx, s in enumerate(self.strings):
+            cp = _code_points(s)
+            pos = np.minimum(np.searchsorted(sorted_points, cp), last)
+            if (sorted_points[pos] != cp).any():
+                raise ValueError(
+                    f"string {idx} contains symbols outside the alphabet: "
+                    f"{sorted(set(s) - set(self.alphabet))}"
+                )
+            out.append(by_point[pos])
+        return out
+
+    def _build_tables(self, codes: list[np.ndarray]):
         n, sigma, width = self.n_strings, self.sigma_size, self.max_len + 1
         check_budget(
             2 * n * width * sigma * np.dtype(np.int32).itemsize,
@@ -76,14 +92,13 @@ class Instance:
         nxt = np.full((n, width, sigma), NO_OCCURRENCE, dtype=np.int32)
         cnt = np.zeros((n, width, sigma), dtype=np.int32)
         symbols = np.arange(sigma, dtype=np.int32)
-        for i, s in enumerate(self.strings):
-            length = len(s)
+        for i, string_codes in enumerate(codes):
+            length = len(string_codes)
             if not length:
                 continue  # row 0 keeps NO_OCCURRENCE and 0, like every end row
-            codes = np.fromiter((self._code[ch] for ch in s), dtype=np.int32, count=length)
             # one (length, sigma) block per string, last position first; the
             # scans run from the end, so they write the rows in reverse
-            hit = codes[::-1, None] == symbols
+            hit = string_codes[::-1, None] == symbols
             pos = np.arange(length - 1, -1, -1, dtype=np.int32)[:, None]
             np.minimum.accumulate(
                 np.where(hit, pos, np.int32(NO_OCCURRENCE)), axis=0,
@@ -150,6 +165,11 @@ class Instance:
         mean = sum(rem) / n
         var = sum((r - mean) ** 2 for r in rem) / (n - 1)
         return mean, var
+
+
+def _code_points(s: str) -> np.ndarray:
+    """The code points of `s` as a uint32 array (lone surrogates included)."""
+    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
 def build_instance(alphabet, strings) -> Instance:

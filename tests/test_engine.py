@@ -170,7 +170,14 @@ class TestSearchBudget:
     @pytest.mark.parametrize("spec", [MINLEN, UNCORR, GCOV])
     @pytest.mark.parametrize(
         "sigma,n,length,beta,merge",
-        [(20, 30, 80, 40, False), (2, 20, 150, 300, True), (26, 2, 60, 100, False)],
+        [
+            (20, 30, 80, 40, False),
+            (2, 20, 150, 300, True),
+            (26, 2, 60, 100, False),
+            # many strings: the (child, string) cells dominate the bound
+            (20, 200, 300, 40, False),
+            (4, 200, 80, 40, True),
+        ],
     )
     def test_bound_covers_traced_peak(self, spec, sigma, n, length, beta, merge):
         inst, _ = gen_uncorrelated(sigma, n, length, 3)

@@ -21,6 +21,7 @@ from lcsbeam.heuristics import (
     score_minlen_batch,
     score_prob,
     score_prob_batch,
+    remainder_moments,
     select_k,
 )
 from lcsbeam.instance import build_instance
@@ -118,6 +119,19 @@ class TestScoreProb:
         assert batch[1] == -math.inf
         assert np.isfinite(batch[2])
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 30), st.integers(2, 40), st.integers(1, 6), st.data())
+    def test_batch_ignores_layout(self, rows, n, k, data):
+        # the engine passes F-ordered (children, N) views; a score must not
+        # depend on the layout its remainders arrive in
+        kernel = get_kernel(4, 200)
+        cells = data.draw(st.lists(st.integers(0, 200), min_size=rows * n, max_size=rows * n))
+        rem = np.array(cells, dtype=np.int32).reshape(rows, n)
+        hi, lo = int(rem.max()), int(rem.min())
+        c_order = score_prob_batch(rem, k, kernel, hi, lo)
+        f_order = score_prob_batch(np.asfortranarray(rem), k, kernel, hi, lo)
+        assert c_order.tobytes() == f_order.tobytes()
+
 
 class TestScoreGcov:
     def test_derived_value(self):
@@ -159,6 +173,25 @@ class TestScoreGcov:
         ubs = np.array([inst.upper_bound(root)])
         batch = score_gcov_batch(rem, ubs, GCOV.gamma(2))
         assert batch[0] == pytest.approx(score_gcov(inst, root, GCOV).value, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 10**6), min_size=60, max_size=60), min_size=1, max_size=5
+        ),
+        st.integers(2, 60),
+        st.booleans(),
+    )
+    def test_moments_are_one_rounding_of_exact(self, rows, n, fortran):
+        # N * max_len <= 6e7 < 2^26.5: one rounding of the exact quotients
+        rem = np.array([row[:n] for row in rows], dtype=np.int32)
+        if fortran:
+            rem = np.asfortranarray(rem)
+        mean, var = remainder_moments(rem)
+        for row, m, v in zip(rem.tolist(), mean.tolist(), var.tolist()):
+            s1, s2 = sum(row), sum(r * r for r in row)
+            assert m == float(Fraction(s1, n))
+            assert v == float(Fraction(n * s2 - s1 * s1, n * (n - 1)))
 
 
 class TestScoreMinlen:

@@ -55,6 +55,43 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_instance("AB", ["AB", "ABX"])
 
+    @pytest.mark.parametrize(
+        "alphabet,strings,idx,bad",
+        [
+            ("AB", ["AB", "ABX"], 1, ["X"]),
+            # below, between and above the alphabet's code points
+            ("BD", ["A", "BD"], 0, ["A"]),
+            ("BD", ["BD", "BCD"], 1, ["C"]),
+            ("BD", ["BD", "DE"], 1, ["E"]),
+            ("é\U0001F600", ["é", "\U0001F601é\U0001F600ü"], 1, ["ü", "\U0001F601"]),
+        ],
+    )
+    def test_foreign_symbols_are_named(self, alphabet, strings, idx, bad):
+        with pytest.raises(ValueError) as err:
+            build_instance(alphabet, strings)
+        assert str(err.value) == f"string {idx} contains symbols outside the alphabet: {bad}"
+
+    def test_foreign_symbols_are_reported_before_the_budget(self, monkeypatch):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.001")
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            build_instance("AB", ["AB" * 2500, "ABX"])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.characters(), min_size=1, max_size=30, unique=True), st.data())
+    def test_codes_follow_alphabet_order(self, symbols, data):
+        # any code points, in any order: table column c is alphabet[c]
+        alphabet = "".join(symbols)
+        strings = data.draw(st.lists(st.text(alphabet, max_size=20), min_size=2, max_size=4))
+        inst = build_instance(alphabet, strings)
+        nxt, cnt = loop_tables(inst)
+        assert np.array_equal(inst.next_table, nxt)
+        assert np.array_equal(inst.suffix_table, cnt)
+
+    def test_lone_surrogate_is_a_symbol(self):
+        inst = build_instance("A\ud800", ["\ud800A\ud800", "A\ud800"])
+        assert inst.next_occurrence(0, 1, "\ud800") == 2
+        assert inst.suffix_count(1, 0, "A") == 1
+
     def test_tables_over_budget_are_refused(self, monkeypatch):
         # 2 tables x 10 strings x 5001 positions x 2 symbols x 4 bytes
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.5")
