@@ -84,16 +84,12 @@ def resolve_heuristic(name: str, family: Family) -> HeuristicSpec:
 def run_named_heuristic(
     instance: Instance, desc: DatasetDescriptor, name: str, config_kw: dict
 ) -> RunReport:
-    config_kw = dict(config_kw)
-    family = config_kw.pop("family", desc.family)
-    if "beta" in config_kw and "beta_h" in config_kw:
-        config_kw["beta_h"] = min(config_kw["beta_h"], config_kw["beta"])
     if name == "hh":
-        hf1 = resolve_heuristic("kanalytic", family)
-        hf2 = resolve_heuristic("gcov", family)
+        hf1 = resolve_heuristic("kanalytic", desc.family)
+        hf2 = resolve_heuristic("gcov", desc.family)
         config = BeamConfig(heuristic=hf1, **config_kw)
         return hyper_heuristic(instance, config, hf1, hf2)
-    spec = resolve_heuristic(name, family)
+    spec = resolve_heuristic(name, desc.family)
     config = BeamConfig(heuristic=spec, **config_kw)
     return beam_search(instance, config)
 

@@ -5,7 +5,7 @@ sequence of length k occurs as a subsequence of a uniformly random string
 of length n over an alphabet of a given size.  The same quantity is
 computed by five mutually verifying routes:
 
-- ``build_table``          recurrence-driven dynamic-programming grid
+- ``build_table``          the two-term recurrence, column by column
 - ``prob_closed``          direct summation of the closed form
 - ``prob_closed_product``  closed form with an incrementally accumulated
                            term product (no explicit binomials)
@@ -17,6 +17,11 @@ computed by five mutually verifying routes:
 the sum inside the closed form, used for picking the target length k in
 the search heuristics.  ``cross_validate`` runs all five routes over a
 grid and reports the worst pairwise disagreement.
+
+Every tabular output runs the recurrence through one driver, ``_columns``,
+in one of three arithmetics: float64 (``build_table``, ``table_column``),
+ln p (``build_log_table``), and Python ints scaled by sigma^n_max, which
+keeps each step integral (``exact_table``, ``exact_float_grid``).
 
 Each closed form (and q) is one row function of (k, n) over a vector of
 n.  Its scalar entry point (``prob_closed``, ``prob_closed_product``,
@@ -62,7 +67,7 @@ class DomainError(ValueError):
 TABLE_BUDGET_ENV = "LCSBEAM_TABLE_BUDGET_MB"
 _DEFAULT_BUDGET_MB = 512.0
 
-EXACT_N_CAP = 500  # largest grid the exact-rational recurrence will build
+EXACT_N_CAP = 500  # largest exact grid, for exact_table and exact_float_grid
 
 
 def check_budget(need: int, what: str) -> None:
@@ -151,24 +156,56 @@ class ProbTable:
         return float(self.values[k, n])
 
 
+def _tabular_params(sigma_size: int, n: int, k_max: int = 0) -> AlphabetParams:
+    """The input check of every tabular builder."""
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    if k_max < 0:
+        raise DomainError(f"k_max must be >= 0, got {k_max}")
+    return AlphabetParams(sigma_size)
+
+
+def _columns(n: int, first: np.ndarray, step):
+    """Yield columns 0..n of the recurrence, carried in place in `first`.
+
+    `first` is column 0 over k = 0..k_max.  Column m sets rows 1..min(m,
+    k_max) to step(lower, same) of column m-1's rows k-1 and k.  Row 0 and
+    the rows above m keep column 0's values.  Every yield is `first`.
+    """
+    col = first
+    yield col
+    for m in range(1, n + 1):
+        top = min(m, len(col) - 1)
+        col[1 : top + 1] = step(col[:top], col[1 : top + 1])
+        yield col
+
+
+def _stacked(n_max: int, first: np.ndarray, step) -> np.ndarray:
+    """Columns 0..n_max of `_columns` as the (k, n) grid."""
+    grid = np.empty((n_max + 1, n_max + 1), first.dtype)
+    for m, col in enumerate(_columns(n_max, first, step)):
+        grid[:, m] = col
+    return grid
+
+
+def _float_step(params: AlphabetParams):
+    a, b = params.alpha, params.beta
+    return lambda lower, same: a * lower + b * same
+
+
 def build_table(sigma_size: int, n_max: int) -> ProbTable:
     """Fill the p(k, n) grid from the two-term recurrence.
 
     Base cases: p(0, n) = 1 and p(k, n) = 0 for k > n.  Interior cells are
-    alpha * p(k-1, n-1) + beta * p(k, n-1), evaluated column by column.
+    alpha * p(k-1, n-1) + beta * p(k, n-1), evaluated column by column by
+    `_columns`, the one driver of the tabular route.  It also runs in log
+    space (`build_log_table`) and in Python ints scaled by sigma^n_max
+    (`_exact_grid`), a scale that keeps every exact step an integer.
     """
-    params = AlphabetParams(sigma_size)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    params = _tabular_params(sigma_size, n_max)
     check_budget((n_max + 1) ** 2 * 8, f"table for n_max={n_max}")
-    size = n_max + 1
-    vals = np.zeros((size, size))
-    vals[0, :] = 1.0
-    for n in range(1, size):
-        vals[1 : n + 1, n] = (
-            params.alpha * vals[0:n, n - 1] + params.beta * vals[1 : n + 1, n - 1]
-        )
-    return ProbTable(sigma_size=sigma_size, n_max=n_max, values=vals)
+    values = _stacked(n_max, np.array([1.0] + [0.0] * n_max), _float_step(params))
+    return ProbTable(sigma_size=sigma_size, n_max=n_max, values=values)
 
 
 def table_column(sigma_size: int, n: int, k_max: int) -> np.ndarray:
@@ -178,14 +215,8 @@ def table_column(sigma_size: int, n: int, k_max: int) -> np.ndarray:
     carried from column 0 to column n holds exactly the values of
     ``build_table(sigma_size, n).values[:k_max + 1, n]`` in O(k_max) memory.
     """
-    params = AlphabetParams(sigma_size)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    col = np.zeros(k_max + 1)
-    col[0] = 1.0
-    for m in range(1, n + 1):
-        top = min(m, k_max)
-        col[1 : top + 1] = params.alpha * col[0:top] + params.beta * col[1 : top + 1]
+    params = _tabular_params(sigma_size, n, k_max)
+    *_, col = _columns(n, np.array([1.0] + [0.0] * k_max), _float_step(params))
     return col
 
 
@@ -194,83 +225,55 @@ def build_log_table(sigma_size: int, n_max: int) -> np.ndarray:
 
     Cells with k > n hold -inf.  The reference the engine's ``ProbKernel``
     rows are tested against; linear p underflows long before n reaches the
-    benchmark string lengths.
+    benchmark string lengths.  On the single-letter alphabet ln beta is
+    -inf, so each step shifts the column down and ln p is 0 for k <= n.
     """
-    params = AlphabetParams(sigma_size)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    params = _tabular_params(sigma_size, n_max)
     check_budget((n_max + 1) ** 2 * 8, f"table for n_max={n_max}")
-    size = n_max + 1
-    log_vals = np.full((size, size), -np.inf)
-    log_vals[0, :] = 0.0
-    if params.degenerate:
-        # single-letter strings contain every shorter subsequence
-        for n in range(size):
-            log_vals[0 : n + 1, n] = 0.0
-        return log_vals
     ln_a = math.log(params.alpha)
-    ln_b = math.log(params.beta)
-    for n in range(1, size):
-        log_vals[1 : n + 1, n] = np.logaddexp(
-            ln_a + log_vals[0:n, n - 1], ln_b + log_vals[1 : n + 1, n - 1]
-        )
+    ln_b = -math.inf if params.degenerate else math.log(params.beta)
+    log_vals = _stacked(
+        n_max,
+        np.array([0.0] + [-math.inf] * n_max),
+        lambda lower, same: np.logaddexp(ln_a + lower, ln_b + same),
+    )
     # float noise in the saturated region can nudge ln p above 0
     np.minimum(log_vals, 0.0, out=log_vals)
     return log_vals
 
 
+def _exact_grid(sigma_size: int, n_max: int) -> tuple[np.ndarray, int]:
+    """The grid of p(k, n) * sigma^n_max in Python ints, and sigma^n_max.
+
+    p(k, n) is an integer over sigma^n, so every cell is an integer, row 0
+    is the constant sigma^n_max, and lower + (sigma-1) * same is sigma
+    times the next cell, so the step divides exactly.
+    """
+    _tabular_params(sigma_size, n_max)
+    if n_max > EXACT_N_CAP:
+        raise CapacityError(f"exact-rational grid capped at n_max={EXACT_N_CAP}")
+    s, denom = sigma_size, sigma_size**n_max
+    first = np.array([denom] + [0] * n_max, dtype=object)
+    return _stacked(n_max, first, lambda lower, same: (lower + (s - 1) * same) // s), denom
+
+
 def exact_table(sigma_size: int, n_max: int) -> list[list[Fraction]]:
     """Arbitrary-precision rational p(k, n) grid via the recurrence.
 
-    Ground truth for the equivalence suite.  Internally the numerators are
-    integers over the implicit denominator sigma^n, so no gcd churn occurs.
-    Capped at n_max = EXACT_N_CAP.
+    Ground truth for the equivalence suite.  Capped at n_max = EXACT_N_CAP.
     """
-    if sigma_size < 1:
-        raise DomainError(f"alphabet size must be >= 1, got {sigma_size}")
-    if n_max > EXACT_N_CAP:
-        raise CapacityError(f"exact-rational grid capped at n_max={EXACT_N_CAP}")
-    num = _exact_numerators(sigma_size, n_max)
-    out = []
-    denom = 1
-    cols = []
-    for n in range(n_max + 1):
-        cols.append(denom)
-        denom *= sigma_size
-    for k in range(n_max + 1):
-        out.append(
-            [Fraction(num[k][n], cols[n]) for n in range(n_max + 1)]
-        )
-    return out
-
-
-def _exact_numerators(sigma_size: int, n_max: int) -> list[list[int]]:
-    """Integer numerators P with p(k, n) = P[k][n] / sigma^n."""
-    size = n_max + 1
-    num = [[0] * size for _ in range(size)]
-    denom = 1
-    for n in range(size):
-        num[0][n] = denom
-        denom *= sigma_size
-    w = sigma_size - 1
-    for n in range(1, size):
-        row_prev = n - 1
-        for k in range(1, n + 1):
-            num[k][n] = num[k - 1][row_prev] + w * num[k][row_prev]
-    return num
+    grid, denom = _exact_grid(sigma_size, n_max)
+    return [[Fraction(v, denom) for v in row] for row in grid]
 
 
 def exact_float_grid(sigma_size: int, n_max: int) -> np.ndarray:
-    """Exact-rational grid rounded once to float64 (for array comparisons)."""
-    num = _exact_numerators(sigma_size, n_max)
-    size = n_max + 1
-    grid = np.zeros((size, size))
-    denom = 1
-    for n in range(size):
-        for k in range(n + 1):
-            grid[k, n] = num[k][n] / denom  # int/int is correctly rounded
-        denom *= sigma_size
-    return grid
+    """Exact-rational grid rounded once to float64 (for array comparisons).
+
+    Each cell is int / int, which Python rounds correctly.  Capped at
+    n_max = EXACT_N_CAP.
+    """
+    grid, denom = _exact_grid(sigma_size, n_max)
+    return (grid / denom).astype(float)
 
 
 # --------------------------------------------------------------------------
@@ -515,8 +518,6 @@ def cross_validate(
     form runs through log space; the product and Beta-sum forms run linear;
     the binomial route stacks the search engine's own kernel rows.
     """
-    if n_max > EXACT_N_CAP:
-        raise CapacityError(f"cross-validation grid capped at n_max={EXACT_N_CAP}")
     kernel = ProbKernel(sigma_size, n_max)
     grids = {
         Method.TABULAR_DP: exact_float_grid(sigma_size, n_max),

@@ -102,7 +102,7 @@ class TestFamilyResolution:
 
     def test_run_named_heuristic_leaves_caller_dict(self):
         inst, desc = gen_uncorrelated(4, 3, 30, 1)
-        config_kw = {"family": Family.CORRELATED, "beta": 5, "beta_h": 60}
+        config_kw = {"beta": 5, "beta_h": 5, "dominance_filter": False}
         before = dict(config_kw)
         run_named_heuristic(inst, desc, "hh", config_kw)
         assert config_kw == before

@@ -154,6 +154,38 @@ class TestBuildTable:
         assert t.p(3, 2) == 0.0
 
 
+class TestTabularInputs:
+    """Every tabular builder checks its inputs the same way."""
+
+    @pytest.mark.parametrize(
+        "builder,args,error",
+        [
+            (build_table, (0, 5), DomainError),
+            (build_table, (4, -1), DomainError),
+            (build_log_table, (0, 5), DomainError),
+            (build_log_table, (4, -1), DomainError),
+            (table_column, (0, 5, 2), DomainError),
+            (table_column, (4, -1, 2), DomainError),
+            (table_column, (4, 5, -1), DomainError),
+            (exact_table, (0, 5), DomainError),
+            (exact_table, (4, -1), DomainError),
+            (exact_table, (4, 501), CapacityError),
+            (exact_float_grid, (0, 5), DomainError),
+            (exact_float_grid, (4, -1), DomainError),
+            (exact_float_grid, (4, 501), CapacityError),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_bad_input_raises(self, builder, args, error):
+        with pytest.raises(error):
+            builder(*args)
+
+    def test_cap_is_inclusive(self):
+        grid = exact_float_grid(2, 500)
+        assert grid.shape == (501, 501)
+        assert grid[500, 500] == 2.0**-500
+
+
 class TestClosedForm:
     def test_examples(self):
         p4 = AlphabetParams(4)
@@ -417,6 +449,15 @@ class TestExactIdentity:
         for n in range(41):
             assert grid[n][n] == Fraction(1, sigma**n)
 
+    @pytest.mark.parametrize("sigma", [1, 2, 3, 26])
+    def test_float_grid_rounds_exact_table(self, sigma):
+        n_max = 60
+        grid = exact_float_grid(sigma, n_max)
+        table = exact_table(sigma, n_max)
+        for k in range(n_max + 1):
+            for n in range(n_max + 1):
+                assert grid[k, n] == float(table[k][n]), (k, n)
+
     def test_closed_exact_identity(self):
         p = AlphabetParams(5)
         for n in (1, 7, 30):
@@ -431,6 +472,13 @@ class TestLogTable:
 
     def test_no_positive_entries(self):
         assert build_log_table(2, 300).max() <= 0.0
+
+    def test_single_letter_alphabet(self):
+        n_max = 30
+        log = build_log_table(1, n_max)
+        below = np.tri(n_max + 1, dtype=bool).T  # k <= n
+        assert np.all(log[below] == 0.0)
+        assert np.all(log[~below] == -np.inf)
 
     def test_kernel_lookup(self):
         kern = ProbKernel(4, 50)
