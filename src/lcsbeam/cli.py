@@ -17,6 +17,7 @@ generator-backed runs require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import statistics
@@ -103,6 +104,8 @@ def _load_from_flags(args) -> tuple[Instance, DatasetDescriptor]:
     """The instance named by the dataset flags; --family overrides its family."""
     if args.input and args.gen:
         raise UsageError("--input and --gen are mutually exclusive")
+    if args.truncate is not None and args.truncate < 0:
+        raise UsageError(f"--truncate must be >= 0, got {args.truncate}")
     if args.input:
         if args.format == "fasta":
             inst, desc = load_fasta(args.input, args.alphabet, truncate=args.truncate)
@@ -229,12 +232,12 @@ def parse_manifest(path) -> list[dict]:
                     "len": int(kv["len"]),
                     "seed": int(kv["seed"]),
                 }
+                if kind == "corr":
+                    entry["rate"] = float(kv.get("rate", 0.1))
             except KeyError as exc:
                 raise DatasetError(f"{path}:{line_no}: missing generator key {exc}")
             except ValueError as exc:
                 raise DatasetError(f"{path}:{line_no}: {exc}")
-            if kind == "corr":
-                entry["rate"] = float(kv.get("rate", 0.1))
             entries.append(entry)
         else:
             parts = line.split()
@@ -271,19 +274,24 @@ def _materialize(entry: dict) -> tuple[Instance, DatasetDescriptor]:
 
 
 def _manifest_solves(args, repeats: int = 1):
-    """Load each --manifest entry and solve it with each --heuristics name.
+    """Check the flags, read the --manifest, and return the lazy solves.
 
-    Yields (entry, desc, load_error, outcomes) per entry.  `outcomes`
+    The solves load each entry and solve it with each --heuristics name.
+    They yield (entry, desc, load_error, outcomes) per entry.  `outcomes`
     holds one (name, reports, error) per heuristic, with `repeats` reports
     or the error that refused the solve.  An entry that cannot be loaded
     has desc None and every outcome carries its load error.
     """
-    entries = parse_manifest(args.manifest)
     heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
     for name in heuristics:
         if name not in HEURISTIC_CHOICES:
             raise UsageError(f"unknown heuristic {name!r} in --heuristics")
     search_kw = _search_kw(args)
+    entries = parse_manifest(args.manifest)
+    return _solve_entries(entries, heuristics, search_kw, repeats)
+
+
+def _solve_entries(entries, heuristics, search_kw, repeats):
     for entry in entries:
         try:
             inst, desc = _materialize(entry)
@@ -305,35 +313,37 @@ def _manifest_solves(args, repeats: int = 1):
 
 
 def cmd_sweep(args) -> int:
-    rows = []
-    any_failed = False
-    per_heuristic: dict[str, list[RunReport]] = {}
-    for entry, desc, _, outcomes in _manifest_solves(args):
-        for name, reports, error in outcomes:
-            done = per_heuristic.setdefault(name, [])
-            if error is not None:
-                any_failed = True
-                rows.append(_sweep_row(entry, desc, name, None, error=str(error)))
+    solves = _manifest_solves(args)
+    with _output(args.out) as handle:
+        rows = []
+        any_failed = False
+        per_heuristic: dict[str, list[RunReport]] = {}
+        for entry, desc, _, outcomes in solves:
+            for name, reports, error in outcomes:
+                done = per_heuristic.setdefault(name, [])
+                if error is not None:
+                    any_failed = True
+                    rows.append(_sweep_row(entry, desc, name, None, error=str(error)))
+                    continue
+                done.append(reports[0])
+                rows.append(_sweep_row(entry, desc, name, reports[0]))
+        for name, reports in per_heuristic.items():
+            if not reports:
                 continue
-            done.append(reports[0])
-            rows.append(_sweep_row(entry, desc, name, reports[0]))
-    for name, reports in per_heuristic.items():
-        if not reports:
-            continue
-        rows.append(
-            {
-                "dataset": "average",
-                "sigma": "",
-                "n": "",
-                "len": "",
-                "heuristic": name,
-                "length": repr(sum(r.length for r in reports) / len(reports)),
-                "ms": repr(sum(r.wall_time for r in reports) * 1000 / len(reports)),
-                "seed": "",
-                "status": "ok",
-            }
-        )
-    _write_csv(args.out, SWEEP_COLUMNS + ["status"], rows)
+            rows.append(
+                {
+                    "dataset": "average",
+                    "sigma": "",
+                    "n": "",
+                    "len": "",
+                    "heuristic": name,
+                    "length": repr(sum(r.length for r in reports) / len(reports)),
+                    "ms": repr(sum(r.wall_time for r in reports) * 1000 / len(reports)),
+                    "seed": "",
+                    "status": "ok",
+                }
+            )
+        _write_csv(handle, SWEEP_COLUMNS + ["status"], rows)
     return EXIT_PARTIAL if any_failed else EXIT_OK
 
 
@@ -362,16 +372,24 @@ def _sweep_row(entry, desc, heuristic, report, error=None) -> dict:
     }
 
 
-def _write_csv(out, columns, rows) -> None:
-    handle = open(out, "w", newline="") if out else sys.stdout
+def _output(out):
+    """The --out file opened for writing, or stdout without one.
+
+    The commands that solve open it before their first solve, so a path
+    that cannot be written is a usage error that costs no solve.
+    """
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if out:
-            handle.close()
+        return open(out, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}")
+
+
+def _write_csv(handle, columns, rows) -> None:
+    writer = csv.DictWriter(handle, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 # --------------------------------------------------------------------------
@@ -409,7 +427,8 @@ def cmd_probe(args) -> int:
         else:
             value = prob_beta_sum(k, args.n, params)
         rows.append({"k": k, "value": repr(float(value))})
-    _write_csv(args.out, ["k", "value"], rows)
+    with _output(args.out) as handle:
+        _write_csv(handle, ["k", "value"], rows)
     return EXIT_OK
 
 
@@ -426,12 +445,13 @@ def cmd_ksweep(args) -> int:
     if args.k_step < 1:
         raise UsageError(f"--k-step must be >= 1, got {args.k_step}")
     search_kw = _checked_search_kw(beta=args.beta, dominance_filter=args.dominance_filter)
-    rows = []
-    for k in range(lo, hi + 1, args.k_step):
-        spec = HeuristicSpec(kind=HeuristicKind.PROB_K_GUESS, fixed_k=k)
-        report = beam_search(inst, BeamConfig(heuristic=spec, **search_kw))
-        rows.append({"k": k, "length": report.length})
-    _write_csv(args.out, ["k", "length"], rows)
+    with _output(args.out) as handle:
+        rows = []
+        for k in range(lo, hi + 1, args.k_step):
+            spec = HeuristicSpec(kind=HeuristicKind.PROB_K_GUESS, fixed_k=k)
+            report = beam_search(inst, BeamConfig(heuristic=spec, **search_kw))
+            rows.append({"k": k, "length": report.length})
+        _write_csv(handle, ["k", "length"], rows)
     return EXIT_OK
 
 
@@ -443,23 +463,25 @@ def cmd_ksweep(args) -> int:
 def cmd_timing(args) -> int:
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
-    rows = []
-    any_failed = False
-    for _, desc, load_error, outcomes in _manifest_solves(args, args.repeats):
-        if load_error is not None:
-            print(f"warning: skipping entry: {load_error}", file=sys.stderr)
-            any_failed = True
-            continue
-        for name, reports, error in outcomes:
-            if error is not None:
-                print(f"warning: skipping {name} on {desc.name}: {error}", file=sys.stderr)
+    solves = _manifest_solves(args, args.repeats)
+    with _output(args.out) as handle:
+        rows = []
+        any_failed = False
+        for _, desc, load_error, outcomes in solves:
+            if load_error is not None:
+                print(f"warning: skipping entry: {load_error}", file=sys.stderr)
                 any_failed = True
                 continue
-            times = [r.wall_time * 1000 for r in reports]
-            rows.append(
-                {"n": desc.n_strings, "heuristic": name, "ms": repr(statistics.median(times))}
-            )
-    _write_csv(args.out, ["n", "heuristic", "ms"], rows)
+            for name, reports, error in outcomes:
+                if error is not None:
+                    print(f"warning: skipping {name} on {desc.name}: {error}", file=sys.stderr)
+                    any_failed = True
+                    continue
+                times = [r.wall_time * 1000 for r in reports]
+                rows.append(
+                    {"n": desc.n_strings, "heuristic": name, "ms": repr(statistics.median(times))}
+                )
+        _write_csv(handle, ["n", "heuristic", "ms"], rows)
     return EXIT_PARTIAL if any_failed else EXIT_OK
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .instance import Instance, build_instance
+from .instance import Instance, build_instance, check_table_budget
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -167,8 +167,11 @@ def load_fasta(path, alphabet: str, truncate: int | None = None):
 
     With `truncate`, each record is cut to its prefix of that length first
     (fixed-length genome benchmark protocols).  Records containing symbols
-    outside the alphabet are rejected naming the offending header.
+    outside the alphabet are rejected naming the offending header.  A
+    negative `truncate` raises ValueError.
     """
+    if truncate is not None and truncate < 0:
+        raise ValueError(f"truncate must be >= 0, got {truncate}")
     path = Path(path)
     try:
         text = path.read_text()
@@ -272,12 +275,17 @@ def _alphabet_for(sigma_size: int) -> str:
 
 
 def gen_uncorrelated(sigma_size: int, n_strings: int, length: int, seed: int):
-    """N i.i.d. uniform strings of the given length; deterministic per seed."""
+    """N i.i.d. uniform strings of the given length; deterministic per seed.
+
+    An instance whose tables the budget refuses raises CapacityError
+    before any symbol is drawn.
+    """
     if n_strings < 2:
         raise ValueError(f"need at least 2 strings, got {n_strings}")
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     alphabet = _alphabet_for(sigma_size)
+    check_table_budget(n_strings, length, sigma_size)
     master = SplitMix64(seed)
     strings = []
     for _ in range(n_strings):
@@ -314,7 +322,8 @@ def gen_correlated(
 
     Each output position is redrawn uniformly (possibly to the same
     symbol) with probability mutation_rate, so rate 0 gives identical
-    strings and rate 1 degenerates to the uncorrelated family.
+    strings and rate 1 degenerates to the uncorrelated family.  The table
+    budget is checked before any symbol is drawn, as in `gen_uncorrelated`.
     """
     if n_strings < 2:
         raise ValueError(f"need at least 2 strings, got {n_strings}")
@@ -323,6 +332,7 @@ def gen_correlated(
     if not 0.0 <= mutation_rate <= 1.0:
         raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
     alphabet = _alphabet_for(sigma_size)
+    check_table_budget(n_strings, length, sigma_size)
     master = SplitMix64(seed)
     base_rng = master.split()
     base = [base_rng.next_below(sigma_size) for _ in range(length)]

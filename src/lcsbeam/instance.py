@@ -7,7 +7,9 @@ lookup tables per string:
 - suffix count:    occurrences of a given symbol in the suffix from pos
 
 Both tables are checked against the memory budget of
-``probability.check_budget`` before they are allocated.
+``probability.check_budget`` before they are allocated, by
+``check_table_budget``, which the generators also call before they draw
+a symbol.
 
 Search nodes are cursor vectors (one index per string) plus a parent
 chain; the remainder strings are implicit.  Symbols are mapped to small
@@ -85,10 +87,7 @@ class Instance:
 
     def _build_tables(self, codes: list[np.ndarray]):
         n, sigma, width = self.n_strings, self.sigma_size, self.max_len + 1
-        check_budget(
-            2 * n * width * sigma * np.dtype(np.int32).itemsize,
-            f"instance tables for N={n}, max_len={self.max_len}, sigma={sigma}",
-        )
+        check_table_budget(n, self.max_len, sigma)
         nxt = np.full((n, width, sigma), NO_OCCURRENCE, dtype=np.int32)
         cnt = np.zeros((n, width, sigma), dtype=np.int32)
         symbols = np.arange(sigma, dtype=np.int32)
@@ -165,6 +164,14 @@ class Instance:
         mean = sum(rem) / n
         var = sum((r - mean) ** 2 for r in rem) / (n - 1)
         return mean, var
+
+
+def check_table_budget(n_strings: int, max_len: int, sigma_size: int) -> None:
+    """CapacityError if the two tables of such an instance exceed the budget."""
+    check_budget(
+        2 * n_strings * (max_len + 1) * sigma_size * np.dtype(np.int32).itemsize,
+        f"instance tables for N={n_strings}, max_len={max_len}, sigma={sigma_size}",
+    )
 
 
 def _code_points(s: str) -> np.ndarray:

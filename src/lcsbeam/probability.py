@@ -14,9 +14,9 @@ computed by five mutually verifying routes:
                            one k row at a time in log space
 
 ``q_value`` evaluates the rescaled tail q(k, n) = (1 - p) / beta^(n-k+1),
-the sum inside the closed form, used for picking the target length k in
-the search heuristics.  ``cross_validate`` runs all five routes over a
-grid and reports the worst pairwise disagreement.
+the sum inside the closed form, and ``log_q_value`` its logarithm.
+``cross_validate`` runs all five routes over a grid and reports the worst
+pairwise disagreement.
 
 Every tabular output runs the recurrence through one driver, ``_columns``,
 in one of three arithmetics: float64 (``build_table``, ``table_column``),
@@ -37,19 +37,20 @@ remainder.  A window that starts above k is seeded with the binomial
 tail at its first n, so its cost does not grow with how far that n is
 from k.
 
-Numeric modes of the closed form: its sum over i is always a log-sum in
-numpy; LOGSPACE then forms 1 - beta^(n-k+1) q in log space (safe for
-large n or large alphabets), LINEAR multiplies it out as written, and
-EXACT_RATIONAL keeps arbitrary-precision rationals and serves as ground
-truth in tests.
+Each route has one evaluation and returns a plain value.  The closed
+form sums q as a log-sum and forms 1 - beta^(n-k+1) q as -expm1 of a
+logarithm, so it keeps its digits where beta^(n-k+1) underflows and q
+overflows (large n, large alphabets); for n <= 200 it is within 1.9e-13
+of the exact grid on alphabets of 2 to 26 letters.  ``prob_closed_exact``
+is the same sum in Python ``Fraction``s, the ground truth of the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -114,46 +115,9 @@ class AlphabetParams:
         return self.sigma_size == 1
 
 
-class Method(Enum):
-    TABULAR_DP = "table"
-    CLOSED_FORM = "closed"
-    CLOSED_FORM_II = "closed2"
-    BETA_FORM = "beta"
-    BINOMIAL = "binomial"
-
-
-class NumericMode(Enum):
-    LINEAR = "linear"
-    LOGSPACE = "log"
-    EXACT_RATIONAL = "exact"
-
-
-def default_mode(sigma_size: int, n: int) -> NumericMode:
-    """LOGSPACE once underflow becomes plausible, LINEAR for small grids."""
-    if n > 300 or sigma_size >= 20:
-        return NumericMode.LOGSPACE
-    return NumericMode.LINEAR
-
-
 # --------------------------------------------------------------------------
 # tabular route
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbTable:
-    """Dense p(k, n) grid for 0 <= k <= n <= n_max; cells with k > n are 0."""
-
-    sigma_size: int
-    n_max: int
-    values: np.ndarray  # shape (n_max + 1, n_max + 1), indexed [k, n]
-
-    def p(self, k: int, n: int) -> float:
-        if k == 0:
-            return 1.0
-        if k > n:
-            return 0.0
-        return float(self.values[k, n])
 
 
 def _tabular_params(sigma_size: int, n: int, k_max: int = 0) -> AlphabetParams:
@@ -193,8 +157,9 @@ def _float_step(params: AlphabetParams):
     return lambda lower, same: a * lower + b * same
 
 
-def build_table(sigma_size: int, n_max: int) -> ProbTable:
-    """Fill the p(k, n) grid from the two-term recurrence.
+def build_table(sigma_size: int, n_max: int) -> np.ndarray:
+    """The (n_max+1, n_max+1) grid of p(k, n), indexed [k, n], from the
+    two-term recurrence.
 
     Base cases: p(0, n) = 1 and p(k, n) = 0 for k > n.  Interior cells are
     alpha * p(k-1, n-1) + beta * p(k, n-1), evaluated column by column by
@@ -204,8 +169,7 @@ def build_table(sigma_size: int, n_max: int) -> ProbTable:
     """
     params = _tabular_params(sigma_size, n_max)
     check_budget((n_max + 1) ** 2 * 8, f"table for n_max={n_max}")
-    values = _stacked(n_max, np.array([1.0] + [0.0] * n_max), _float_step(params))
-    return ProbTable(sigma_size=sigma_size, n_max=n_max, values=values)
+    return _stacked(n_max, np.array([1.0] + [0.0] * n_max), _float_step(params))
 
 
 def table_column(sigma_size: int, n: int, k_max: int) -> np.ndarray:
@@ -213,7 +177,7 @@ def table_column(sigma_size: int, n: int, k_max: int) -> np.ndarray:
 
     Cell (k, n) reads only cells with k' <= k, so one vector over k <= k_max
     carried from column 0 to column n holds exactly the values of
-    ``build_table(sigma_size, n).values[:k_max + 1, n]`` in O(k_max) memory.
+    ``build_table(sigma_size, n)[:k_max + 1, n]`` in O(k_max) memory.
     """
     params = _tabular_params(sigma_size, n, k_max)
     *_, col = _columns(n, np.array([1.0] + [0.0] * k_max), _float_step(params))
@@ -304,19 +268,14 @@ def _log_q_row(k: int, n: np.ndarray, params: AlphabetParams) -> np.ndarray:
     return top + np.log(np.exp(terms - top).sum(axis=0))
 
 
-def _closed_row(
-    k: int, n: np.ndarray, params: AlphabetParams, mode: NumericMode
-) -> np.ndarray:
+def _closed_row(k: int, n: np.ndarray, params: AlphabetParams) -> np.ndarray:
     """Closed-form p = 1 - beta^(n-k+1) q(k, n) over the vector n.
 
-    LOGSPACE forms the product in log space and takes -expm1 of it, which
-    keeps the digits of a small p; LINEAR multiplies it out as written.
+    The product is formed in log space and p is -expm1 of it, which keeps
+    the digits of a small p and cannot overflow.
     """
-    ln_q = _log_q_row(k, n, params)
-    if mode is NumericMode.LOGSPACE:
-        t = np.minimum((n - k + 1) * math.log(params.beta) + ln_q, 0.0)
-        return -np.expm1(t)
-    return 1.0 - params.beta ** (n - k + 1) * np.exp(ln_q)
+    t = (n - k + 1) * math.log(params.beta) + _log_q_row(k, n, params)
+    return -np.expm1(np.minimum(t, 0.0))
 
 
 def _product_row(k: int, n: np.ndarray, params: AlphabetParams) -> np.ndarray:
@@ -384,15 +343,15 @@ def _base_p(
     return None
 
 
-def _point(row, k: int, n: int, params: AlphabetParams, *args, route=None) -> float:
+def _point(row, k: int, n: int, params: AlphabetParams, route=None) -> float:
     """A route's p at one (k, n): the base cases, else its row at [n] clamped."""
     base = _base_p(k, n, params, route)
     if base is not None:
         return float(base)
-    return min(1.0, max(0.0, float(row(k, np.array([n]), params, *args)[0])))
+    return min(1.0, max(0.0, float(row(k, np.array([n]), params)[0])))
 
 
-def _grid(row, sigma_size: int, n_max: int, *args, route=None) -> np.ndarray:
+def _grid(row, sigma_size: int, n_max: int, route=None) -> np.ndarray:
     """A route's rows stacked over k into the unclamped (k, n) grid.
 
     Row 0 is 1 and cells with k > n are 0; on the single-letter alphabet
@@ -405,33 +364,27 @@ def _grid(row, sigma_size: int, n_max: int, *args, route=None) -> np.ndarray:
     grid = np.zeros((size, size))
     grid[0, :] = 1.0
     for k in range(1, size):
-        grid[k, k:] = row(k, np.arange(k, size), params, *args)
+        grid[k, k:] = row(k, np.arange(k, size), params)
     return grid
 
 
-def prob_closed(
-    k: int,
-    n: int,
-    params: AlphabetParams,
-    mode: NumericMode | None = None,
-):
+def prob_closed(k: int, n: int, params: AlphabetParams) -> float:
     """Closed-form p(k, n) = 1 - beta^(n-k+1) * sum_i alpha^i C(n-k+i, i).
 
-    mode=None picks LINEAR or LOGSPACE automatically; EXACT_RATIONAL
-    returns a Fraction.  Results are clamped to [0, 1] (float modes only);
-    the raw value is exercised unclamped by cross_validate.
+    Evaluated as in `_closed_row` and clamped to [0, 1]; the raw value is
+    exercised unclamped by cross_validate.
     """
-    if mode is NumericMode.EXACT_RATIONAL:
-        base = _base_p(k, n, params)
-        if base is not None:
-            return Fraction(base)
-        a = Fraction(1, params.sigma_size)
-        b = 1 - a
-        s = sum(a**i * math.comb(n - k + i, i) for i in range(k))
-        return 1 - b ** (n - k + 1) * s
-    if mode is None:
-        mode = default_mode(params.sigma_size, n)
-    return _point(_closed_row, k, n, params, mode)
+    return _point(_closed_row, k, n, params)
+
+
+def prob_closed_exact(k: int, n: int, params: AlphabetParams) -> Fraction:
+    """The closed form of ``prob_closed`` summed in exact rationals."""
+    base = _base_p(k, n, params)
+    if base is not None:
+        return Fraction(base)
+    a = Fraction(1, params.sigma_size)
+    s = sum(a**i * math.comb(n - k + i, i) for i in range(k))
+    return 1 - (1 - a) ** (n - k + 1) * s
 
 
 def prob_closed_product(k: int, n: int, params: AlphabetParams) -> float:
@@ -448,28 +401,23 @@ def prob_beta_sum(k: int, n: int, params: AlphabetParams) -> float:
     return _point(_beta_row, k, n, params, route=_BETA_FORM)
 
 
-def q_value(
-    k: int,
-    n: int,
-    params: AlphabetParams,
-    mode: NumericMode = NumericMode.LINEAR,
-) -> float:
-    """Rescaled tail q(k, n) = sum_{i<k} alpha^i C(n-k+i, i).
+def log_q_value(k: int, n: int, params: AlphabetParams) -> float:
+    """ln q(k, n), where q(k, n) = sum_{i<k} alpha^i C(n-k+i, i).
 
-    Equals (1 - p(k, n)) / beta^(n-k+1) for k <= n; the sum is empty at
-    k = 0 and its binomials vanish at k > n, so q = 0 there.  LOGSPACE
-    mode returns ln q; the other modes return inf where q is beyond the
-    float range.  The single-letter alphabet raises DomainError wherever
-    k <= n asks for the sum.
+    q equals (1 - p(k, n)) / beta^(n-k+1) for k <= n; the sum is empty at
+    k = 0 and its binomials vanish at k > n, so ln q = -inf there.  The
+    single-letter alphabet raises DomainError wherever k <= n asks for
+    the sum.
     """
-    if _base_p(k, n, params, "q(k, n)") is None:
-        ln_q = float(_log_q_row(k, np.array([n]), params)[0])
-    else:
-        ln_q = -math.inf
-    if mode is NumericMode.LOGSPACE:
-        return ln_q
+    if _base_p(k, n, params, "q(k, n)") is not None:
+        return -math.inf
+    return float(_log_q_row(k, np.array([n]), params)[0])
+
+
+def q_value(k: int, n: int, params: AlphabetParams) -> float:
+    """q(k, n) of ``log_q_value``, or inf where q is beyond the float range."""
     try:
-        return math.exp(ln_q)
+        return math.exp(log_q_value(k, n, params))
     except OverflowError:
         return math.inf
 
@@ -479,11 +427,9 @@ def q_value(
 # --------------------------------------------------------------------------
 
 
-def closed_grid(
-    sigma_size: int, n_max: int, mode: NumericMode = NumericMode.LOGSPACE
-) -> np.ndarray:
+def closed_grid(sigma_size: int, n_max: int) -> np.ndarray:
     """Unclamped closed-form p over the full (k, n) grid."""
-    return _grid(_closed_row, sigma_size, n_max, mode)
+    return _grid(_closed_row, sigma_size, n_max)
 
 
 def closed_product_grid(sigma_size: int, n_max: int) -> np.ndarray:
@@ -514,26 +460,23 @@ def cross_validate(
 ) -> CrossValidationReport:
     """Evaluate all five routes over the grid and compare them pairwise.
 
-    The tabular route runs in exact rationals (ground truth); the closed
-    form runs through log space; the product and Beta-sum forms run linear;
-    the binomial route stacks the search engine's own kernel rows.
+    The tabular route runs in exact rationals (ground truth); the product
+    and Beta-sum forms run linear; the binomial route stacks the search
+    engine's own kernel rows.  Deviations are keyed by pairs of the route
+    names "table", "closed", "closed2", "beta" and "binomial".
     """
     kernel = ProbKernel(sigma_size, n_max)
     grids = {
-        Method.TABULAR_DP: exact_float_grid(sigma_size, n_max),
-        Method.CLOSED_FORM: closed_grid(sigma_size, n_max, NumericMode.LOGSPACE),
-        Method.CLOSED_FORM_II: closed_product_grid(sigma_size, n_max),
-        Method.BETA_FORM: beta_sum_grid(sigma_size, n_max),
-        Method.BINOMIAL: np.exp([kernel.log_row(k) for k in range(n_max + 1)]),
+        "table": exact_float_grid(sigma_size, n_max),
+        "closed": closed_grid(sigma_size, n_max),
+        "closed2": closed_product_grid(sigma_size, n_max),
+        "beta": beta_sum_grid(sigma_size, n_max),
+        "binomial": np.exp([kernel.log_row(k) for k in range(n_max + 1)]),
     }
-    names = list(grids)
-    devs = {}
-    for a_idx in range(len(names)):
-        for b_idx in range(a_idx + 1, len(names)):
-            a, b = names[a_idx], names[b_idx]
-            devs[(a.value, b.value)] = float(
-                np.abs(grids[a] - grids[b]).max()
-            )
+    devs = {
+        (a, b): float(np.abs(grids[a] - grids[b]).max())
+        for a, b in itertools.combinations(grids, 2)
+    }
     passed = all(d <= tolerance for d in devs.values())
     return CrossValidationReport(
         sigma_size=sigma_size,

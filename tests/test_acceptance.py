@@ -34,7 +34,6 @@ from lcsbeam.heuristics import (
 )
 from lcsbeam.oracle import exact_lcs2, exact_lcs3
 from lcsbeam.probability import (
-    NumericMode,
     beta_sum_grid,
     build_table,
     closed_grid,
@@ -65,10 +64,10 @@ def grids():
     for sigma in GRID_SIGMAS:
         out[sigma] = {
             "tabular-exact": exact_float_grid(sigma, N_MAX),
-            "closed": closed_grid(sigma, N_MAX, NumericMode.LOGSPACE),
+            "closed": closed_grid(sigma, N_MAX),
             "closed2": closed_product_grid(sigma, N_MAX),
             "beta": beta_sum_grid(sigma, N_MAX),
-            "tabular-float": build_table(sigma, N_MAX).values,
+            "tabular-float": build_table(sigma, N_MAX),
         }
     out["build_seconds"] = time.perf_counter() - t0
     return out

@@ -586,6 +586,16 @@ class TestUsageErrors:
         assert err.startswith("usage error: ")
         assert not out_csv.exists()
 
+    def test_negative_truncate(self, capsys, tmp_path):
+        path = tmp_path / "x.fa"
+        path.write_text(">a\nACGTAC\n>b\nCAGTTA\n")
+        code, out, err = run_cli(
+            capsys, "oracle", "--input", str(path), "--format", "fasta", "--truncate", "-2"
+        )
+        assert code == EXIT_USAGE
+        assert err == "usage error: --truncate must be >= 0, got -2\n"
+        assert out == ""
+
     def test_timing_repeats(self, capsys, tmp_path):
         manifest = tmp_path / "m.txt"
         manifest.write_text(GOOD_GEN_ENTRY)
@@ -595,6 +605,33 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
         assert err.startswith("usage error: ")
+
+
+class TestUnwritableOut:
+    """An --out that cannot be opened is a usage error, raised before any solve."""
+
+    OUT = "no-such-dir/out.csv"
+
+    @pytest.mark.parametrize("command", ["sweep", "timing", "ksweep", "probe"])
+    def test_usage_error_before_any_solve(self, capsys, tmp_path, monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output was opened")
+
+        monkeypatch.setattr(cli, "beam_search", no_solve)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(GOOD_GEN_ENTRY)
+        argv = {
+            "sweep": ["--manifest", str(manifest), "--heuristics", "minlen"],
+            "timing": ["--manifest", str(manifest), "--heuristics", "minlen"],
+            "ksweep": [*flag_argv(GEN_FLAGS), "--k-range", "1:2"],
+            "probe": ["--sigma", "4", "--n", "10", "--k-range", "0:3"],
+        }[command]
+        out_path = tmp_path / self.OUT
+        code, out, err = run_cli(capsys, command, *argv, "--out", str(out_path))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"usage error: cannot write {out_path}: ")
+        assert "No such file or directory" in err
+        assert out == ""
 
 
 class TestBadManifestLine:
@@ -630,6 +667,21 @@ class TestBadManifestLine:
         assert [(r["n"], r["heuristic"]) for r in rows] == [("2", "minlen")]
         assert "skipping entry: bad generator entry: need at least 2 strings" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "timing"])
+    def test_rate_that_is_not_a_number(self, capsys, tmp_path, command):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("gen: corr sigma=4 n=3 len=20 rate=abc seed=1\n")
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, command, "--manifest", str(manifest), "--heuristics", "minlen",
+            "--out", str(out_csv),
+        )
+        assert code == EXIT_DATASET
+        assert err == (
+            f"dataset error: {manifest}:1: could not convert string to float: 'abc'\n"
+        )
+        assert not out_csv.exists()
+
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -641,33 +693,56 @@ class TestBadManifestLine:
     beta=st.integers(-1, 8),
     heuristic=st.sampled_from(cli.HEURISTIC_CHOICES),
     seed=st.integers(0, 2**32),
+    rate=st.one_of(
+        st.none(),
+        st.floats(-0.5, 1.5).map(repr),
+        st.sampled_from(["abc", "", "nan", "1e400", "0x1"]),
+    ),
 )
-def test_exit_code_matches_its_class(command, gen, n, sigma, length, beta, heuristic, seed):
+def test_exit_code_matches_its_class(
+    command, gen, n, sigma, length, beta, heuristic, seed, rate
+):
     """In-process `main` on small flag sets, valid and invalid.
 
-    Generator parameters are valid for n >= 2, sigma >= 1 and len >= 0,
-    widths for beta >= 1.  Bad flags are usage errors (2); a bad manifest
-    line fails only its own rows (1); everything else succeeds (0).
+    Generator parameters are valid for n >= 2, sigma >= 1, len >= 0 and,
+    for the correlated family, 0 <= rate <= 1; widths for beta >= 1.  Bad
+    flags are usage errors (2); a manifest line whose rate is not a number
+    is a dataset error (3); a bad manifest line otherwise fails only its
+    own rows (1); everything else succeeds (0).  `--rate` gets only the
+    numeric tokens: argparse itself refuses the others.
     """
+    try:
+        rate_value = 0.1 if rate is None else float(rate)
+    except ValueError:
+        rate_value = None  # not a number
     instance_ok = n >= 2 and sigma >= 1 and length >= 0
+    rate_ok = gen == "uncorr" or (rate_value is not None and 0.0 <= rate_value <= 1.0)
     with tempfile.TemporaryDirectory() as tmp:
         if command in ("solve", "ksweep"):
             flags = {"--gen": gen, "--sigma": sigma, "--n": n, "--len": length, "--seed": seed}
             argv = [command, *flag_argv({f: str(v) for f, v in flags.items()})]
+            if rate is not None and rate_value is not None:
+                argv.append(f"--rate={rate}")  # `=` keeps "-1e-05" a value
+            else:
+                rate_ok = True  # the default rate
             argv += ["--heuristic", heuristic] if command == "solve" else ["--k-range", "1:2"]
-            expected = EXIT_OK if instance_ok and beta >= 1 else EXIT_USAGE
+            expected = EXIT_OK if instance_ok and rate_ok and beta >= 1 else EXIT_USAGE
         else:
             manifest = Path(tmp) / "m.txt"
+            rate_token = "" if rate is None else f" rate={rate}"
             manifest.write_text(
-                f"gen: {gen} sigma={sigma} n={n} len={length} seed={seed}\n" + GOOD_GEN_ENTRY
+                f"gen: {gen} sigma={sigma} n={n} len={length}{rate_token} seed={seed}\n"
+                + GOOD_GEN_ENTRY
             )
             argv = [command, "--manifest", str(manifest), "--heuristics", heuristic]
             argv += ["--out", str(Path(tmp) / "out.csv")]
             argv += ["--repeats", "1"] if command == "timing" else []
             if beta < 1:
                 expected = EXIT_USAGE
+            elif gen == "corr" and rate_value is None:
+                expected = EXIT_DATASET
             else:
-                expected = EXIT_OK if instance_ok else EXIT_PARTIAL
+                expected = EXIT_OK if instance_ok and rate_ok else EXIT_PARTIAL
         argv += ["--beta", str(beta)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -676,5 +751,7 @@ def test_exit_code_matches_its_class(command, gen, n, sigma, length, beta, heuri
     assert code == expected, err.getvalue()
     if code == EXIT_USAGE:
         assert err.getvalue().startswith("usage error: ")
+    if code == EXIT_DATASET:
+        assert err.getvalue().startswith("dataset error: ")
     if code == EXIT_OK:
         assert err.getvalue() == ""

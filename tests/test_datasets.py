@@ -19,6 +19,7 @@ from lcsbeam.datasets import (
     save_plain,
 )
 from lcsbeam.instance import build_instance
+from lcsbeam.probability import CapacityError
 
 WORKED_FILE = "2 3\nABC\n8 BCABAABC\n8 CAACBBAA\n"
 
@@ -136,6 +137,13 @@ class TestFasta:
         inst, _ = load_fasta(path, "ACGT", truncate=4)
         assert inst.strings == ("ACGT", "GGGG")
 
+    def test_negative_truncation_raises(self, tmp_path):
+        path = tmp_path / "d.fa"
+        path.write_text(">x\nACGTACGT\n>y\nGGGGCCCC\n")
+        with pytest.raises(ValueError, match="truncate must be >= 0, got -2"):
+            load_fasta(path, "ACGT", truncate=-2)
+        assert load_fasta(path, "ACGT", truncate=0)[0].strings == ("", "")
+
     def test_data_before_header(self, tmp_path):
         path = tmp_path / "f.fa"
         path.write_text("ACGT\n>x\nACGT\n")
@@ -227,3 +235,22 @@ class TestGenerators:
             gen_correlated(4, 2, 10, 1.5, 0)
         with pytest.raises(ValueError):
             gen_uncorrelated(100, 2, 10, 0)
+
+    @pytest.mark.parametrize(
+        "generate",
+        [lambda: gen_uncorrelated(2, 10, 5000, 1), lambda: gen_correlated(2, 10, 5000, 0.1, 1)],
+        ids=["uncorr", "corr"],
+    )
+    def test_budget_is_checked_before_any_draw(self, monkeypatch, generate):
+        # the same refusal as `build_instance`, and not a single draw before it
+        def no_draw(self):
+            raise AssertionError("drew a symbol before the budget check")
+
+        monkeypatch.setattr(SplitMix64, "next_u64", no_draw)
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.5")
+        with pytest.raises(
+            CapacityError,
+            match=r"instance tables for N=10, max_len=5000, sigma=2: 0\.8 MiB needed, "
+            r"budget is 0\.5 MiB",
+        ):
+            generate()

@@ -23,7 +23,6 @@ from lcsbeam.probability import (
     AlphabetParams,
     CapacityError,
     DomainError,
-    NumericMode,
     ProbKernel,
     beta_density,
     build_log_table,
@@ -32,12 +31,13 @@ from lcsbeam.probability import (
     closed_grid,
     closed_product_grid,
     cross_validate,
-    default_mode,
     exact_float_grid,
     exact_table,
     get_kernel,
+    log_q_value,
     prob_beta_sum,
     prob_closed,
+    prob_closed_exact,
     prob_closed_product,
     q_value,
     table_column,
@@ -107,17 +107,17 @@ class TestAlphabetParams:
 class TestBuildTable:
     def test_base_cases(self):
         t = build_table(4, 5)
-        assert t.p(0, 5) == 1.0
-        assert t.p(3, 2) == 0.0
+        assert t[0, 5] == 1.0
+        assert t[3, 2] == 0.0
 
     def test_hand_unrolled_recursion(self):
         # p(1,1)=0.25, p(1,2)=0.4375, p(2,2)=0.0625,
         # p(2,3) = 0.25*0.4375 + 0.75*0.0625 = 0.15625
         t = build_table(4, 5)
-        assert t.p(1, 1) == pytest.approx(0.25, abs=1e-15)
-        assert t.p(1, 2) == pytest.approx(0.4375, abs=1e-15)
-        assert t.p(2, 2) == pytest.approx(0.0625, abs=1e-15)
-        assert t.p(2, 3) == pytest.approx(0.15625, abs=1e-15)
+        assert t[1, 1] == pytest.approx(0.25, abs=1e-15)
+        assert t[1, 2] == pytest.approx(0.4375, abs=1e-15)
+        assert t[2, 2] == pytest.approx(0.0625, abs=1e-15)
+        assert t[2, 3] == pytest.approx(0.15625, abs=1e-15)
 
     def test_matches_enumeration(self):
         t2 = build_table(2, 4)
@@ -126,12 +126,12 @@ class TestBuildTable:
             for n in range(5):
                 for k in range(n + 1):
                     expected = float(enum_prob(k, n, sigma))
-                    assert table.p(k, n) == pytest.approx(expected, abs=1e-12)
+                    assert table[k, n] == pytest.approx(expected, abs=1e-12)
 
     def test_range_invariant(self):
         t = build_table(4, 80)
-        assert np.all(t.values >= 0.0)
-        assert np.all(t.values <= 1.0)
+        assert np.all(t >= 0.0)
+        assert np.all(t <= 1.0)
 
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.001")
@@ -140,7 +140,7 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("sigma", [2, 4, 20])
     def test_column_is_bitwise_table_column(self, sigma):
-        values = build_table(sigma, 200).values
+        values = build_table(sigma, 200)
         for n in range(201):
             for k_max in {0, 5, n, min(n + 3, 200), 200}:
                 column = table_column(sigma, n, k_max)
@@ -150,8 +150,8 @@ class TestBuildTable:
         t = build_table(1, 4)
         for n in range(5):
             for k in range(n + 1):
-                assert t.p(k, n) == 1.0
-        assert t.p(3, 2) == 0.0
+                assert t[k, n] == 1.0
+        assert t[3, 2] == 0.0
 
 
 class TestTabularInputs:
@@ -193,28 +193,29 @@ class TestClosedForm:
         assert prob_closed(0, 7, AlphabetParams(20)) == 1.0
         assert prob_closed(5, 3, p4) == 0.0
 
-    def test_modes_agree(self):
+    def test_matches_exact(self):
         p4 = AlphabetParams(4)
         for k, n in [(1, 1), (2, 3), (10, 30), (50, 150), (149, 150)]:
-            lin = prob_closed(k, n, p4, NumericMode.LINEAR)
-            log = prob_closed(k, n, p4, NumericMode.LOGSPACE)
-            exact = prob_closed(k, n, p4, NumericMode.EXACT_RATIONAL)
-            assert lin == pytest.approx(float(exact), abs=1e-12)
-            assert log == pytest.approx(float(exact), abs=1e-9)
+            exact = prob_closed_exact(k, n, p4)
+            assert prob_closed(k, n, p4) == pytest.approx(float(exact), abs=1e-12)
 
-    def test_exact_mode_is_rational(self):
+    def test_exact_is_rational(self):
         p4 = AlphabetParams(4)
-        assert prob_closed(2, 3, p4, NumericMode.EXACT_RATIONAL) == Fraction(5, 32)
+        assert prob_closed_exact(2, 3, p4) == Fraction(5, 32)
+        assert prob_closed_exact(0, 3, p4) == Fraction(1)
+        assert prob_closed_exact(5, 3, p4) == Fraction(0)
+
+    def test_past_the_float_range(self):
+        # beta^(n-k+1) = 2**-1501 underflows and q overflows; p is 0.507
+        p2 = AlphabetParams(2)
+        exact = float(prob_closed_exact(1500, 3000, p2))
+        assert exact == pytest.approx(0.507, abs=1e-3)
+        assert prob_closed(1500, 3000, p2) == pytest.approx(exact, abs=1e-12)
 
     def test_single_letter_convention(self):
         p1 = AlphabetParams(1)
         assert prob_closed(3, 5, p1) == 1.0
         assert prob_closed(6, 5, p1) == 0.0
-
-    def test_default_mode_rule(self):
-        assert default_mode(4, 200) is NumericMode.LINEAR
-        assert default_mode(4, 301) is NumericMode.LOGSPACE
-        assert default_mode(20, 10) is NumericMode.LOGSPACE
 
     def test_matches_enumeration(self):
         for sigma in (2, 3):
@@ -289,12 +290,14 @@ class TestQValue:
         assert q_value(2, 3, p4) == pytest.approx(1.5, abs=1e-12)
         assert q_value(0, 10, p4) == 0.0
 
-    def test_log_mode(self):
+    def test_log_q_value(self):
         p4 = AlphabetParams(4)
-        assert q_value(1, 200, p4, NumericMode.LOGSPACE) == 0.0
-        ln_q = q_value(2, 3, p4, NumericMode.LOGSPACE)
+        assert log_q_value(1, 200, p4) == 0.0
+        ln_q = log_q_value(2, 3, p4)
         assert math.exp(ln_q) == pytest.approx(1.5, abs=1e-12)
-        assert q_value(0, 10, p4, NumericMode.LOGSPACE) == -math.inf
+        assert log_q_value(0, 10, p4) == -math.inf
+        with pytest.raises(DomainError):
+            log_q_value(2, 3, AlphabetParams(1))
 
     def test_degenerate_raises(self):
         with pytest.raises(DomainError):
@@ -306,12 +309,12 @@ class TestQValue:
             p = AlphabetParams(sigma)
             for n, k in [(0, 1), (3, 4), (3, 5), (3, 6), (400, 401), (400, 900)]:
                 assert q_value(k, n, p) == 0.0
-                assert q_value(k, n, p, NumericMode.LOGSPACE) == -math.inf
+                assert log_q_value(k, n, p) == -math.inf
 
     def test_beyond_the_float_range(self):
         # ln q(3000, 6000) = 2079 over the binary alphabet
         p2 = AlphabetParams(2)
-        assert q_value(3000, 6000, p2, NumericMode.LOGSPACE) == pytest.approx(2079, abs=1)
+        assert log_q_value(3000, 6000, p2) == pytest.approx(2079, abs=1)
         assert q_value(3000, 6000, p2) == math.inf
 
     def test_q_consistency_identity(self):
@@ -320,7 +323,7 @@ class TestQValue:
             p = AlphabetParams(sigma)
             for n in (10, 60, 150):
                 for k in range(1, n + 1, 7):
-                    pv = prob_closed(k, n, p, NumericMode.LINEAR)
+                    pv = prob_closed(k, n, p)
                     if pv >= 1 - 1e-6:
                         continue
                     lhs = 1.0 - pv
@@ -329,11 +332,7 @@ class TestQValue:
 
 
 ROUTE_N_MAX = 120
-SCALARS = {
-    "closed": lambda k, n, p, mode: prob_closed(k, n, p, mode),
-    "closed2": lambda k, n, p, mode: prob_closed_product(k, n, p),
-    "beta": lambda k, n, p, mode: prob_beta_sum(k, n, p),
-}
+SCALARS = {"closed": prob_closed, "closed2": prob_closed_product, "beta": prob_beta_sum}
 
 
 @pytest.fixture(scope="module")
@@ -345,10 +344,9 @@ def route_grids():
         if sigma not in cache:
             n_max = ROUTE_N_MAX + 1  # so that k = n + 1 has a cell
             cache[sigma] = exact_float_grid(sigma, n_max), {
-                ("closed", NumericMode.LINEAR): closed_grid(sigma, n_max, NumericMode.LINEAR),
-                ("closed", NumericMode.LOGSPACE): closed_grid(sigma, n_max, NumericMode.LOGSPACE),
-                ("closed2", None): closed_product_grid(sigma, n_max),
-                ("beta", None): beta_sum_grid(sigma, n_max),
+                "closed": closed_grid(sigma, n_max),
+                "closed2": closed_product_grid(sigma, n_max),
+                "beta": beta_sum_grid(sigma, n_max),
             }
         return cache[sigma]
 
@@ -364,8 +362,8 @@ class TestOneRowPerRoute:
         k = data.draw(st.integers(0, n + 1))
         p = AlphabetParams(sigma)
         exact, grids = route_grids(sigma)
-        for (route, mode), grid in grids.items():
-            value = SCALARS[route](k, n, p, mode)
+        for route, grid in grids.items():
+            value = SCALARS[route](k, n, p)
             assert value == pytest.approx(min(1.0, max(0.0, grid[k, n])), abs=1e-12)
             assert value == pytest.approx(exact[k, n], abs=1e-12)
 
@@ -374,17 +372,16 @@ class TestOneRowPerRoute:
     def test_q_is_the_closed_form_tail(self, sigma, n, data):
         k = data.draw(st.integers(0, n + 1))
         p = AlphabetParams(sigma)
-        q_lin = q_value(k, n, p)
-        ln_q = q_value(k, n, p, NumericMode.LOGSPACE)
-        assert q_lin == pytest.approx(math.exp(ln_q), rel=1e-12)
+        q = q_value(k, n, p)
+        ln_q = log_q_value(k, n, p)
+        assert q == math.exp(ln_q)
         if k > n:
-            assert q_lin == 0.0 and ln_q == -math.inf
+            assert q == 0.0 and ln_q == -math.inf
             return
-        for mode in (NumericMode.LINEAR, NumericMode.LOGSPACE):
-            pv = prob_closed(k, n, p, mode)
-            if pv >= 1 - 1e-6:
-                continue  # 1 - p has lost its digits
-            assert q_lin * p.beta ** (n - k + 1) == pytest.approx(1.0 - pv, rel=1e-9)
+        pv = prob_closed(k, n, p)
+        if pv >= 1 - 1e-6:
+            return  # 1 - p has lost its digits
+        assert q * p.beta ** (n - k + 1) == pytest.approx(1.0 - pv, rel=1e-9)
 
 
 class TestCrossValidation:
@@ -414,14 +411,12 @@ class TestEquivalenceInvariant:
     def test_methods_agree(self, sigma):
         n_max = 120
         exact = exact_float_grid(sigma, n_max)
-        closed_lin = closed_grid(sigma, n_max, NumericMode.LINEAR)
-        closed_log = closed_grid(sigma, n_max, NumericMode.LOGSPACE)
-        table = build_table(sigma, n_max).values
-        assert np.abs(exact - closed_lin).max() <= 1e-12
-        assert np.abs(table - closed_lin).max() <= 1e-9
-        assert np.abs(closed_log - closed_lin).max() <= 1e-9
-        assert np.abs(closed_product_grid(sigma, n_max) - closed_lin).max() <= 1e-9
-        assert np.abs(beta_sum_grid(sigma, n_max) - closed_lin).max() <= 1e-9
+        closed = closed_grid(sigma, n_max)
+        table = build_table(sigma, n_max)
+        assert np.abs(exact - closed).max() <= 1e-12
+        assert np.abs(table - closed).max() <= 1e-9
+        assert np.abs(closed_product_grid(sigma, n_max) - closed).max() <= 1e-9
+        assert np.abs(beta_sum_grid(sigma, n_max) - closed).max() <= 1e-9
 
 
 class TestMonotonicity:
@@ -429,7 +424,7 @@ class TestMonotonicity:
     def test_both_directions(self, sigma):
         n_max = 120
         for grid in (
-            build_table(sigma, n_max).values,
+            build_table(sigma, n_max),
             closed_grid(sigma, n_max),
             closed_product_grid(sigma, n_max),
             beta_sum_grid(sigma, n_max),
@@ -461,12 +456,12 @@ class TestExactIdentity:
     def test_closed_exact_identity(self):
         p = AlphabetParams(5)
         for n in (1, 7, 30):
-            assert prob_closed(n, n, p, NumericMode.EXACT_RATIONAL) == Fraction(1, 5**n)
+            assert prob_closed_exact(n, n, p) == Fraction(1, 5**n)
 
 
 class TestLogTable:
     def test_matches_linear_table(self):
-        lin = build_table(4, 100).values
+        lin = build_table(4, 100)
         log = build_log_table(4, 100)
         assert np.abs(np.exp(log) - lin).max() <= 1e-9
 

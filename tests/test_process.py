@@ -1,0 +1,62 @@
+"""The command line as a user runs it: `python -m lcsbeam.cli` in a new process.
+
+One run per documented exit code.  Whatever the code, the process ends
+with its own message on stderr, never a Python traceback.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lcsbeam
+
+SRC = Path(lcsbeam.__file__).resolve().parent.parent
+
+GOOD_ENTRY = "gen: uncorr sigma=4 n=2 len=20 seed=1\n"
+BAD_ENTRY = "gen: uncorr sigma=4 n=1 len=50 seed=1\n"  # one string: an error row
+
+
+def run(tmp_path, *argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("LCSBEAM_TABLE_BUDGET_MB", None)
+    return subprocess.run(
+        [sys.executable, "-m", "lcsbeam.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "code,manifest,argv,stderr",
+    [
+        (0, None, ["probe", "--sigma", "4", "--n", "3", "--k-range", "2:2"], ""),
+        (1, BAD_ENTRY + GOOD_ENTRY,
+         ["sweep", "--manifest", "m.txt", "--heuristics", "minlen", "--out", "o.csv"], ""),
+        (2, GOOD_ENTRY,
+         ["sweep", "--manifest", "m.txt", "--heuristics", "minlen",
+          "--out", "no-such-dir/o.csv"],
+         "usage error: cannot write no-such-dir/o.csv: No such file or directory\n"),
+        (3, "gen: corr sigma=4 n=3 len=20 rate=abc seed=1\n",
+         ["sweep", "--manifest", "m.txt", "--heuristics", "minlen", "--out", "o.csv"],
+         "dataset error: m.txt:1: could not convert string to float: 'abc'\n"),
+    ],
+    ids=["ok", "partial", "unwritable-out", "bad-rate"],
+)
+def test_exit_code_and_no_traceback(tmp_path, code, manifest, argv, stderr):
+    if manifest is not None:
+        (tmp_path / "m.txt").write_text(manifest)
+    proc = run(tmp_path, *argv)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == stderr
+    if code == 1:
+        rows = (tmp_path / "o.csv").read_text().splitlines()
+        assert sum("error: bad generator entry" in row for row in rows) == 1
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in lcsbeam.__all__ if not hasattr(lcsbeam, name)]
+    assert missing == []
+    assert len(set(lcsbeam.__all__)) == len(lcsbeam.__all__)

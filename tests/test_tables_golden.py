@@ -38,7 +38,7 @@ def grid() -> dict:
     for sigma in SIGMAS:
         for n_max in N_MAXES:
             tag = f"s{sigma}-n{n_max}"
-            cases[f"build_table-{tag}"] = lambda s=sigma, m=n_max: build_table(s, m).values
+            cases[f"build_table-{tag}"] = lambda s=sigma, m=n_max: build_table(s, m)
             cases[f"build_log_table-{tag}"] = lambda s=sigma, m=n_max: build_log_table(s, m)
             cases[f"exact_float_grid-{tag}"] = lambda s=sigma, m=n_max: exact_float_grid(s, m)
             if n_max <= EXACT_TABLE_N_MAX:
