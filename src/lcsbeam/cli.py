@@ -58,6 +58,9 @@ SWEEP_COLUMNS = ["dataset", "sigma", "n", "len", "heuristic", "length", "ms", "s
 
 HEURISTIC_CHOICES = ["minlen", "kguess", "kanalytic", "gcov", "hh"]
 
+# the keys a manifest `gen:` line may set; `rate` is read for `corr` only
+GEN_KEYS = ("sigma", "n", "len", "seed", "rate")
+
 
 class UsageError(Exception):
     pass
@@ -223,6 +226,8 @@ def parse_manifest(path) -> list[dict]:
                 if "=" not in item:
                     raise DatasetError(f"{path}:{line_no}: expected key=value, got {item!r}")
                 key, val = item.split("=", 1)
+                if key not in GEN_KEYS:
+                    raise DatasetError(f"{path}:{line_no}: unknown generator key {key!r}")
                 kv[key] = val
             try:
                 entry = {
@@ -544,8 +549,18 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals read like the CLI's other usage errors.
+
+    Subcommand parsers are built with the same class, so theirs do too.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"usage error: {message} (see '{self.prog} --help')\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcsbeam",
         description="Beam-search solver and benchmark harness for multiple-string LCS",
     )

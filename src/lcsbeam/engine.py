@@ -24,9 +24,13 @@ scored in one call.  The level is string-major: the beam is a C-contiguous
 as (N * (max_len + 1), sigma) is the (N, B, sigma) block, so feasibility
 is a reduction over its leading axis and the children's cursors are one
 `take` of its columns at parent * sigma + symbol, an (N, children) array.
-The scorers, `occurrence_bounds`, the rank and the merge receive the
-transposed (children, N) views, and numpy reduces over their strings at
-the leading-axis speed of the base.  The rank is two stable sorts, first
+The beam, the block, the cursors, the remainders and a probability
+score's window index all keep the instance's table dtype (`uint16` for
+strings shorter than 65535, else `int32`): no arithmetic on them mixes
+in another integer dtype (only the gather indices are intp, and gcov's
+exact sums int64).  The scorers, `occurrence_bounds`, the rank and the
+merge receive the transposed (children, N) views, and numpy reduces
+over their strings at the leading-axis speed of the base.  The rank is two stable sorts, first
 of the cursor vectors, each read as one string of big-endian bytes, then
 of the negated scores in that order; the merge builds those keys once,
 ranks every child, and finds runs of equal vectors by comparing adjacent
@@ -57,7 +61,7 @@ from .heuristics import (
     score_prob_batch,
     select_k,
 )
-from .instance import NO_OCCURRENCE, Instance
+from .instance import Instance, table_dtype
 from .probability import check_budget, get_kernel
 
 # Ties in score rank by cursor vector, lexicographically ascending.
@@ -164,14 +168,15 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
 
     lengths = instance.lengths[:, None]
     # string i's rows of the next table start at i * (max_len + 1) once it is
-    # flattened (a view); intp, so beam + offsets cannot overflow int32
+    # flattened (a view); intp, so beam + offsets cannot overflow the table dtype
     stride = instance.max_len + 1
     offsets = np.arange(n, dtype=np.intp)[:, None] * stride
     flat_next = instance.next_table.reshape(n * stride, sigma)
     suffix_table = instance.suffix_table
 
     t0 = time.perf_counter()
-    beam = np.zeros((n, 1), dtype=np.int32)  # string-major: (N, B)
+    # string-major (N, B), in the table dtype like every per-level array
+    beam = np.zeros((n, 1), dtype=flat_next.dtype)
     arena: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, symbol codes)
     levels = 0
     nodes_expanded = 0
@@ -179,12 +184,12 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     while True:
         # (N, B, sigma): string i's next positions for node b are one row
         block = flat_next.take(beam + offsets, axis=0)
-        feasible = np.logical_and.reduce(block != NO_OCCURRENCE, axis=0)  # (B, sigma)
+        feasible = np.logical_and.reduce(block != instance.no_occurrence, axis=0)  # (B, sigma)
         codes, parents = np.nonzero(feasible.T)  # symbol-major, then parent
         if len(codes) == 0:
             break
         cursors = block.reshape(n, -1).take(parents * sigma + codes, axis=1)  # (N, children)
-        cursors += 1
+        cursors += 1  # at most max_len, below the sentinel
         del block  # not needed past here; frees its memory before scoring
         remainders = lengths - cursors
         # the scorers and the rank read (children, N) views of these arrays
@@ -232,26 +237,29 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
 def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     """Upper bound on the array bytes a search at `width` holds at one time.
 
-    A level has at most width * sigma children.  Each (child, string) cell
-    takes at most 34 bytes: the int32 gathered block with its bool
-    feasibility mask, the int32 cursors and remainders, a probability
-    score's int32 window index and float64 gathered row (gcov's int64
-    squares are smaller), and two int32 copies in the rank (the
-    candidates' columns and their byte-string keys) or, in the merge, the
-    keys, the ranked columns and their bool comparison.  Each child adds
-    96 bytes in twelve int64/float64 vectors (its symbol, parent, block
-    row and score; the rank's negated scores, their partition copy, the
-    candidate rows and their scores; the key order, the scores gathered by
-    it, their order and the composed order; a scorer's own vectors, gcov's
-    moments among them, are gone before the rank starts) and gcov's two
-    int32 (children, sigma) blocks, the beam its int32 cursors and intp
-    index, a probability score its O(max_len) row.  The arena keeps an
-    int64 parent and an int16 symbol per kept child for each of at most
-    max_len levels; the Python objects holding them (about 300 bytes a
-    level) are not counted.
+    Cursors, remainders and the gathered block are in the table dtype,
+    `table_dtype(max_len)`, of w bytes (2 for uint16, 4 for int32).  A
+    level has at most width * sigma children.  Each (child, string) cell
+    takes at most 6w + 10 bytes: the gathered block with its bool
+    feasibility mask, the cursors and remainders, a probability score's
+    window index and float64 gathered row (gcov's int64 squares are
+    smaller), and two copies in the rank (the candidates' columns and
+    their byte-string keys) or, in the merge, the keys, the ranked
+    columns and their bool comparison.  Each child adds 96 bytes in
+    twelve int64/float64 vectors (its symbol, parent, block row and
+    score; the rank's negated scores, their partition copy, the
+    candidate rows and their scores; the key order, the scores gathered
+    by it, their order and the composed order; a scorer's own vectors,
+    gcov's moments among them, are gone before the rank starts) and
+    gcov's two (children, sigma) blocks of w-byte counts, the beam its
+    cursors and intp index, a probability score its O(max_len) row.  The
+    arena keeps an int64 parent and an int16 symbol per kept child for
+    each of at most max_len levels; the Python objects holding them
+    (about 300 bytes a level) are not counted.
     """
-    per_child = n_strings * 34 + 96 + 8 * sigma
-    level = width * sigma * per_child + width * n_strings * 12 + 48 * (max_len + 1)
+    w = table_dtype(max_len).itemsize
+    per_child = n_strings * (6 * w + 10) + 96 + 2 * w * sigma
+    level = width * sigma * per_child + width * n_strings * (w + 8) + 48 * (max_len + 1)
     return level + max_len * width * 10
 
 
@@ -291,14 +299,15 @@ def _lex_order(neg_scores: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _row_keys(cursors: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """One fixed-width byte string per cursor row (or per row in `rows`).
 
-    Cursors are >= 0, so their big-endian unsigned bytes, read as one
-    string, compare in the lexicographic order of the rows.  The rows are
-    gathered as columns of the string-major (N, rows) array under
-    `cursors`, and one transposing cast lays out the keys.
+    Cursors are >= 0, so their big-endian bytes (those of a signed dtype
+    equal the unsigned ones), read as one string, compare in the
+    lexicographic order of the rows.  The rows are gathered as columns of
+    the string-major (N, rows) array under `cursors`, and one transposing
+    cast lays out the keys.
     """
     columns = cursors.T if rows is None else cursors.T.take(rows, axis=1)
-    big = np.ascontiguousarray(columns.T, dtype=">u4")
-    return big.view(np.dtype((np.void, 4 * cursors.shape[1]))).ravel()
+    big = np.ascontiguousarray(columns.T, dtype=cursors.dtype.newbyteorder(">"))
+    return big.view(np.dtype((np.void, big.itemsize * cursors.shape[1]))).ravel()
 
 
 def _merge_duplicates(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:

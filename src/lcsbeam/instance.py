@@ -6,10 +6,14 @@ lookup tables per string:
 - next occurrence: first index >= pos holding a given symbol
 - suffix count:    occurrences of a given symbol in the suffix from pos
 
-Both tables are checked against the memory budget of
-``probability.check_budget`` before they are allocated, by
-``check_table_budget``, which the generators also call before they draw
-a symbol.
+Both tables, the string lengths and every cursor of the search share one
+dtype, ``table_dtype(max_len)``: ``uint16`` while every position, count
+and advanced cursor (at most max_len) stays below the 16-bit sentinel,
+``int32`` for longer strings.  The sentinel for "no occurrence" is the
+dtype's largest value, ``Instance.no_occurrence``.  Both tables are
+checked against the memory budget of ``probability.check_budget`` before
+they are allocated, by ``check_table_budget``, which the generators also
+call before they draw a symbol.
 
 Search nodes are cursor vectors (one index per string) plus a parent
 chain; the remainder strings are implicit.  Symbols are mapped to small
@@ -24,9 +28,15 @@ import numpy as np
 
 from .probability import check_budget
 
-# Sentinel for "symbol does not occur at or after pos"; large enough to
-# stay distinguishable after the +1 cursor advance.
-NO_OCCURRENCE = 1 << 30
+
+def table_dtype(max_len: int) -> np.dtype:
+    """The dtype of the tables, lengths and cursors of strings up to `max_len`.
+
+    ``uint16`` while max_len < 65535: a position is then at most 65533, an
+    advanced cursor or a count at most max_len, and the sentinel 65535
+    stays free.  Longer strings use ``int32``.
+    """
+    return np.dtype(np.uint16 if max_len < np.iinfo(np.uint16).max else np.int32)
 
 
 @dataclass(frozen=True)
@@ -59,9 +69,13 @@ class Instance:
         self.n_strings = len(strings)
         self._code = {ch: c for c, ch in enumerate(symbols)}
         codes = self._symbol_codes()
-        self.lengths = np.array([len(s) for s in strings], dtype=np.int32)
-        self.max_len = int(self.lengths.max())
-        self._build_tables(codes)
+        lengths = [len(s) for s in strings]
+        self.max_len = max(lengths)
+        dtype = table_dtype(self.max_len)
+        # "symbol does not occur at or after pos"; no position or cursor reaches it
+        self.no_occurrence = int(np.iinfo(dtype).max)
+        self.lengths = np.array(lengths, dtype=dtype)
+        self._build_tables(codes, dtype)
 
     def _symbol_codes(self) -> list[np.ndarray]:
         """Each string as an int32 array of symbol codes.
@@ -85,28 +99,32 @@ class Instance:
             out.append(by_point[pos])
         return out
 
-    def _build_tables(self, codes: list[np.ndarray]):
+    def _build_tables(self, codes: list[np.ndarray], dtype: np.dtype):
         n, sigma, width = self.n_strings, self.sigma_size, self.max_len + 1
         check_table_budget(n, self.max_len, sigma)
-        nxt = np.full((n, width, sigma), NO_OCCURRENCE, dtype=np.int32)
-        cnt = np.zeros((n, width, sigma), dtype=np.int32)
-        symbols = np.arange(sigma, dtype=np.int32)
+        nxt = np.full((n, width, sigma), self.no_occurrence, dtype=dtype)
+        cnt = np.zeros((n, width, sigma), dtype=dtype)
         for i, string_codes in enumerate(codes):
             length = len(string_codes)
-            if not length:
-                continue  # row 0 keeps NO_OCCURRENCE and 0, like every end row
-            # one (length, sigma) block per string, last position first; the
-            # scans run from the end, so they write the rows in reverse
-            hit = string_codes[::-1, None] == symbols
-            pos = np.arange(length - 1, -1, -1, dtype=np.int32)[:, None]
-            np.minimum.accumulate(
-                np.where(hit, pos, np.int32(NO_OCCURRENCE)), axis=0,
-                out=nxt[i, length - 1 :: -1],
-            )
-            np.cumsum(hit, axis=0, dtype=np.int32, out=cnt[i, length - 1 :: -1])
+            rows = slice(0, length + 1)  # rows past the string keep the sentinel and 0
+            # `slots` lists the string's positions symbol by symbol, each
+            # symbol's run followed by one sentinel slot; c's run starts at
+            # idx[0, c].  Row p + 1 of `idx` adds 1 at the symbol of position
+            # p, so after the running sum idx[p, c] is the slot of c's next
+            # occurrence at or after p, and idx[length, c] is c's sentinel slot.
+            totals = np.bincount(string_codes, minlength=sigma)
+            idx = np.zeros((length + 1, sigma), dtype=np.int32)
+            np.cumsum(totals[:-1] + 1, out=idx[0, 1:])
+            own = np.arange(sigma, (length + 1) * sigma, sigma) + string_codes
+            idx.reshape(-1)[own] = 1
+            np.cumsum(idx, axis=0, dtype=np.int32, out=idx)
+            np.subtract(idx[length], idx, out=cnt[i, rows], casting="unsafe")
+            slots = np.full(length + sigma, self.no_occurrence, dtype=dtype)
+            slots[idx.reshape(-1)[own - sigma]] = np.arange(length, dtype=dtype)
+            np.take(slots, idx, out=nxt[i, rows], mode="clip")
         nxt.setflags(write=False)
         cnt.setflags(write=False)
-        self.next_table = nxt       # [i, pos, code] -> index or NO_OCCURRENCE
+        self.next_table = nxt       # [i, pos, code] -> index or no_occurrence
         self.suffix_table = cnt     # [i, pos, code] -> count in suffix
 
     # -- scalar API ---------------------------------------------------------
@@ -120,7 +138,7 @@ class Instance:
     def next_occurrence(self, i: int, pos: int, symbol: str):
         """First index >= pos of symbol in string i, or None."""
         val = int(self.next_table[i, pos, self.symbol_code(symbol)])
-        return None if val == NO_OCCURRENCE else val
+        return None if val == self.no_occurrence else val
 
     def suffix_count(self, i: int, pos: int, symbol: str) -> int:
         """Occurrences of symbol in string i at or after pos."""
@@ -135,7 +153,7 @@ class Instance:
         new_cursors = []
         for i, pos in enumerate(state.cursors):
             nxt = int(self.next_table[i, pos, code])
-            if nxt == NO_OCCURRENCE:
+            if nxt == self.no_occurrence:
                 return None
             new_cursors.append(nxt + 1)
         return NodeState(
@@ -169,7 +187,7 @@ class Instance:
 def check_table_budget(n_strings: int, max_len: int, sigma_size: int) -> None:
     """CapacityError if the two tables of such an instance exceed the budget."""
     check_budget(
-        2 * n_strings * (max_len + 1) * sigma_size * np.dtype(np.int32).itemsize,
+        2 * n_strings * (max_len + 1) * sigma_size * table_dtype(max_len).itemsize,
         f"instance tables for N={n_strings}, max_len={max_len}, sigma={sigma_size}",
     )
 

@@ -8,6 +8,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,8 +36,8 @@ WORKED_FILE = "2 3\nABC\n8 BCABAABC\n8 CAACBBAA\n"
 REFUSED_ENTRY = "gen: uncorr sigma=7 n=2 len=23 seed=5\n"
 REFUSAL = "refused by the test"
 
-# Under a 0.01 MiB budget the first entry's instance tables fit (1.3 KiB)
-# and the second's (62.8 KiB) are refused before they are built.
+# Under a 0.01 MiB budget the first entry's instance tables fit (0.7 KiB)
+# and the second's (31.4 KiB) are refused before they are built.
 BUDGET_MANIFEST = (
     "gen: uncorr sigma=4 n=2 len=20 seed=1\n"
     "gen: uncorr sigma=4 n=10 len=200 seed=1\n"
@@ -224,6 +225,23 @@ class TestSolve:
         )
         assert code == EXIT_DATASET
         assert err.startswith("capacity error: instance tables for N=10")
+
+    def test_sixteen_bit_tables_fit_where_int32_tables_did_not(self, capsys, monkeypatch):
+        # sigma=20, N=2, len=2000: the uint16 tables take 0.3 MiB and fit a
+        # 0.5 MiB budget; as int32 they take 0.6 MiB and are refused
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.5")
+        argv = ("solve", "--gen", "uncorr", "--sigma", "20", "--n", "2", "--len", "2000",
+                "--seed", "1", "--heuristic", "minlen", "--beta", "5")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert "length:" in out
+        monkeypatch.setattr("lcsbeam.instance.table_dtype", lambda max_len: np.dtype(np.int32))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_DATASET
+        assert err.startswith(
+            "capacity error: instance tables for N=2, max_len=2000, sigma=20: 0.6 MiB needed, "
+            "budget is 0.5 MiB"
+        )
 
     def test_search_over_budget_is_capacity_error(self, capsys, monkeypatch):
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
@@ -668,6 +686,20 @@ class TestBadManifestLine:
         assert "skipping entry: bad generator entry: need at least 2 strings" in err
 
     @pytest.mark.parametrize("command", ["sweep", "timing"])
+    def test_unknown_generator_key(self, capsys, tmp_path, command):
+        # a misspelt key must not fall back to its default (rate 0.1 here)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(GOOD_GEN_ENTRY + "gen: corr sigma=4 n=3 len=20 rat=0.9 seed=1\n")
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, command, "--manifest", str(manifest), "--heuristics", "minlen",
+            "--out", str(out_csv),
+        )
+        assert code == EXIT_DATASET
+        assert err == f"dataset error: {manifest}:2: unknown generator key 'rat'\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "timing"])
     def test_rate_that_is_not_a_number(self, capsys, tmp_path, command):
         manifest = tmp_path / "m.txt"
         manifest.write_text("gen: corr sigma=4 n=3 len=20 rate=abc seed=1\n")
@@ -708,8 +740,9 @@ def test_exit_code_matches_its_class(
     for the correlated family, 0 <= rate <= 1; widths for beta >= 1.  Bad
     flags are usage errors (2); a manifest line whose rate is not a number
     is a dataset error (3); a bad manifest line otherwise fails only its
-    own rows (1); everything else succeeds (0).  `--rate` gets only the
-    numeric tokens: argparse itself refuses the others.
+    own rows (1); everything else succeeds (0).  A `--rate` that is not a
+    number is refused by argparse itself, which exits 2 with the same
+    `usage error:` text.
     """
     try:
         rate_value = 0.1 if rate is None else float(rate)
@@ -721,10 +754,13 @@ def test_exit_code_matches_its_class(
         if command in ("solve", "ksweep"):
             flags = {"--gen": gen, "--sigma": sigma, "--n": n, "--len": length, "--seed": seed}
             argv = [command, *flag_argv({f: str(v) for f, v in flags.items()})]
-            if rate is not None and rate_value is not None:
-                argv.append(f"--rate={rate}")  # `=` keeps "-1e-05" a value
-            else:
+            if rate is None:
                 rate_ok = True  # the default rate
+            elif rate_value is None:
+                argv += ["--rate", rate]
+                rate_ok = False  # not a number: argparse refuses it, whatever the family
+            else:
+                argv.append(f"--rate={rate}")  # `=` keeps "-1e-05" a value
             argv += ["--heuristic", heuristic] if command == "solve" else ["--k-range", "1:2"]
             expected = EXIT_OK if instance_ok and rate_ok and beta >= 1 else EXIT_USAGE
         else:
@@ -746,7 +782,10 @@ def test_exit_code_matches_its_class(
         argv += ["--beta", str(beta)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own refusals
+                code = exc.code
     assert code in (EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_DATASET)
     assert code == expected, err.getvalue()
     if code == EXIT_USAGE:

@@ -247,10 +247,10 @@ class TestGenerators:
             raise AssertionError("drew a symbol before the budget check")
 
         monkeypatch.setattr(SplitMix64, "next_u64", no_draw)
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.5")
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.3")
         with pytest.raises(
             CapacityError,
-            match=r"instance tables for N=10, max_len=5000, sigma=2: 0\.8 MiB needed, "
-            r"budget is 0\.5 MiB",
+            match=r"instance tables for N=10, max_len=5000, sigma=2: 0\.4 MiB needed, "
+            r"budget is 0\.3 MiB",
         ):
             generate()

@@ -159,7 +159,7 @@ class TestLongInstances:
 
 class TestSearchBudget:
     def test_search_over_budget_is_refused(self, monkeypatch):
-        # the tables take 131 KiB; the search at beta=2000 is bounded at 60.9 MiB
+        # the tables take 65.6 KiB; the search at beta=2000 is bounded at 38.6 MiB
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
         inst, _ = gen_uncorrelated(4, 200, 20, 1)
         with pytest.raises(CapacityError, match="beta=2000, N=200, sigma=4"):

@@ -33,7 +33,7 @@ from lcsbeam.heuristics import (
     score_prob_batch,
     select_k,
 )
-from lcsbeam.instance import NO_OCCURRENCE, NodeState, build_instance
+from lcsbeam.instance import NodeState, build_instance
 from lcsbeam.oracle import exhaustive_lcs
 from lcsbeam.probability import get_kernel
 
@@ -54,7 +54,7 @@ def ref_beam_search(instance, config):
     row_idx = np.arange(n)[None, :]
     next_table = instance.next_table
 
-    beam = np.zeros((1, n), dtype=np.int32)
+    beam = np.zeros((1, n), dtype=next_table.dtype)
     arena = []
     levels = 0
     nodes_expanded = 0
@@ -62,7 +62,7 @@ def ref_beam_search(instance, config):
         blocks = []  # (symbol code, parent indices, child cursors)
         for code in range(sigma):
             nxt = next_table[row_idx, beam, code]  # (B, N)
-            feasible = (nxt != NO_OCCURRENCE).all(axis=1)
+            feasible = (nxt != instance.no_occurrence).all(axis=1)
             if feasible.any():
                 blocks.append((code, np.nonzero(feasible)[0], nxt[feasible] + 1))
         if not blocks:

@@ -78,6 +78,32 @@ def test_merge_matches_reference_survivors(cursors, palette):
     assert np.array_equal(_merge_duplicates(cursors, scores), ref_survivors(cursors, scores))
 
 
+# uint16 cursors that differ in each byte, the sentinel's neighbour included
+UINT16_VALUES = [0, 1, 255, 256, 511, 65279, 65280, 65534]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_uint16_cursors_rank_and_merge_as_int32(data):
+    rows = data.draw(st.integers(1, 40))
+    cols = data.draw(st.integers(1, 4))
+    cells = data.draw(
+        st.lists(st.sampled_from(UINT16_VALUES), min_size=rows * cols, max_size=rows * cols)
+    )
+    narrow = np.array(cells, dtype=np.uint16).reshape(rows, cols)
+    wide = narrow.astype(np.int32)
+    _, inverse = np.unique(wide, axis=0, return_inverse=True)
+    palette = data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=8))
+    scores = np.array(palette)[inverse.ravel() % len(palette)]
+    full = ref_rank(scores, wide)
+    for top in range(1, rows + 2):
+        assert np.array_equal(_rank(scores, narrow, top), full[:top])
+        assert np.array_equal(_rank(scores, narrow, top), _rank(scores, wide, top))
+    survivors = _merge_duplicates(narrow, scores)
+    assert np.array_equal(survivors, ref_survivors(wide, scores))
+    assert np.array_equal(survivors, _merge_duplicates(wide, scores))
+
+
 def _ref_rank_top(scores, cursors, top):
     return ref_rank(scores, cursors)[:top]
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsbeam.instance import NO_OCCURRENCE, build_instance, reconstruct_solution
+from lcsbeam.instance import NodeState, build_instance, reconstruct_solution
 from lcsbeam.oracle import exact_lcs2, exact_lcs3
 from lcsbeam.probability import CapacityError
 
@@ -93,15 +93,15 @@ class TestBuild:
         assert inst.suffix_count(1, 0, "A") == 1
 
     def test_tables_over_budget_are_refused(self, monkeypatch):
-        # 2 tables x 10 strings x 5001 positions x 2 symbols x 4 bytes
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.5")
+        # 2 tables x 10 strings x 5001 positions x 2 symbols x 2 bytes (uint16)
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.3")
         with pytest.raises(
             CapacityError,
-            match=r"instance tables for N=10, max_len=5000, sigma=2: 0\.8 MiB needed, "
-            r"budget is 0\.5 MiB",
+            match=r"instance tables for N=10, max_len=5000, sigma=2: 0\.4 MiB needed, "
+            r"budget is 0\.3 MiB",
         ):
             build_instance("AB", ["AB" * 2500] * 10)
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.5")
         assert build_instance("AB", ["AB" * 2500] * 10).max_len == 5000
 
     def test_rejects_duplicate_alphabet(self):
@@ -112,18 +112,19 @@ class TestBuild:
 def loop_tables(inst):
     """The instance tables as a loop over (string, symbol) columns builds them."""
     n, sigma, width = inst.n_strings, inst.sigma_size, inst.max_len + 1
-    nxt = np.full((n, width, sigma), NO_OCCURRENCE, dtype=np.int32)
-    cnt = np.zeros((n, width, sigma), dtype=np.int32)
+    dtype = inst.next_table.dtype
+    nxt = np.full((n, width, sigma), inst.no_occurrence, dtype=dtype)
+    cnt = np.zeros((n, width, sigma), dtype=dtype)
     for i, s in enumerate(inst.strings):
         length = len(s)
         codes = np.array([inst.symbol_code(ch) for ch in s], dtype=np.int32)
         for c in range(sigma):
             hits = np.nonzero(codes == c)[0]
-            col = np.full(length + 1, NO_OCCURRENCE, dtype=np.int32)
+            col = np.full(length + 1, inst.no_occurrence, dtype=dtype)
             col[hits] = hits
             np.minimum.accumulate(col[::-1], out=col[::-1])
             nxt[i, : length + 1, c] = col
-            occ = np.zeros(length + 1, dtype=np.int32)
+            occ = np.zeros(length + 1, dtype=dtype)
             occ[:length][::-1] = np.cumsum((codes == c)[::-1])
             cnt[i, : length + 1, c] = occ
     return nxt, cnt
@@ -154,6 +155,48 @@ class TestTablesMatchColumnLoop:
         nxt, cnt = loop_tables(inst)
         assert np.array_equal(inst.next_table, nxt)
         assert np.array_equal(inst.suffix_table, cnt)
+
+
+class TestTableDtype:
+    @pytest.mark.parametrize(
+        "max_len,dtype,sentinel",
+        [(65534, np.uint16, 65535), (65535, np.int32, 2**31 - 1)],
+    )
+    def test_scalar_api_matches_string_scan(self, max_len, dtype, sentinel):
+        rng = random.Random(max_len)
+        alphabet = "ABC"
+        # the long string holds its only C at its last position, so an
+        # advance past it reaches max_len, the largest cursor
+        strings = [
+            "".join(rng.choice("AB") for _ in range(max_len - 1)) + "C",
+            "".join(rng.choice(alphabet) for _ in range(999)),
+        ]
+        inst = build_instance(alphabet, strings)
+        assert inst.max_len == max_len
+        assert inst.next_table.dtype == inst.suffix_table.dtype == inst.lengths.dtype == dtype
+        assert inst.no_occurrence == sentinel
+        for i, s in enumerate(strings):
+            edge = [0, 1, len(s) - 2, len(s) - 1, len(s)]
+            for pos in edge + rng.sample(range(len(s) + 1), 200):
+                for ch in alphabet:
+                    at = s.find(ch, pos)
+                    assert inst.next_occurrence(i, pos, ch) == (None if at < 0 else at)
+                    assert inst.suffix_count(i, pos, ch) == s.count(ch, pos)
+        edge_states = [(0, 0), (max_len - 1, 0), (max_len, 999), (max_len - 1, 998)]
+        random_states = [tuple(rng.randint(0, len(s)) for s in strings) for _ in range(200)]
+        for cursors in edge_states + random_states:
+            state = NodeState(cursors=cursors, depth=0)
+            bound = sum(min(s.count(ch, c) for s, c in zip(strings, cursors)) for ch in alphabet)
+            assert inst.upper_bound(state) == bound
+            for ch in alphabet:
+                at = [s.find(ch, c) for s, c in zip(strings, cursors)]
+                child = inst.successor(state, ch)
+                if min(at) < 0:
+                    assert child is None
+                else:
+                    assert child.cursors == tuple(a + 1 for a in at)
+        last = inst.successor(NodeState(cursors=(max_len - 1, 0), depth=0), "C")
+        assert last.cursors[0] == max_len
 
 
 class TestSuccessor:

@@ -38,11 +38,19 @@ def run(tmp_path, *argv):
          ["sweep", "--manifest", "m.txt", "--heuristics", "minlen",
           "--out", "no-such-dir/o.csv"],
          "usage error: cannot write no-such-dir/o.csv: No such file or directory\n"),
+        (2, None,
+         ["solve", "--gen", "corr", "--sigma", "4", "--n", "3", "--len", "20",
+          "--seed", "1", "--rate", "abc"],
+         "usage error: argument --rate: invalid float value: 'abc' "
+         "(see 'lcsbeam solve --help')\n"),
         (3, "gen: corr sigma=4 n=3 len=20 rate=abc seed=1\n",
          ["sweep", "--manifest", "m.txt", "--heuristics", "minlen", "--out", "o.csv"],
          "dataset error: m.txt:1: could not convert string to float: 'abc'\n"),
+        (3, "gen: corr sigma=4 n=3 len=20 rat=0.9 seed=1\n",
+         ["sweep", "--manifest", "m.txt", "--heuristics", "minlen", "--out", "o.csv"],
+         "dataset error: m.txt:1: unknown generator key 'rat'\n"),
     ],
-    ids=["ok", "partial", "unwritable-out", "bad-rate"],
+    ids=["ok", "partial", "unwritable-out", "argparse-refusal", "bad-rate", "unknown-key"],
 )
 def test_exit_code_and_no_traceback(tmp_path, code, manifest, argv, stderr):
     if manifest is not None:
