@@ -17,33 +17,48 @@ the first of each run survives.
 The wrapper trial-runs two heuristics at a reduced width and replays the
 winner (first one on ties) at full width.
 
-Internally a level is one set of numpy arrays (cursors, parent indices,
-chosen symbols), gathered from the next-occurrence table in one step and
-scored in one call.  The level is string-major: the beam is a C-contiguous
-(N, B) cursor array, and one `take` of whole rows from the table viewed
-as (N * (max_len + 1), sigma) is the (N, B, sigma) block, so feasibility
-is a reduction over its leading axis and the children's cursors are one
-`take` of its columns at parent * sigma + symbol, an (N, children) array.
-The beam, the block, the cursors, the remainders and a probability
-score's window index all keep the instance's table dtype (`uint16` for
-strings shorter than 65535, else `int32`): no arithmetic on them mixes
-in another integer dtype (only the gather indices are intp, and gcov's
+Internally a level is one set of numpy arrays, gathered from the
+next-occurrence table in one step and scored in one call.  The level is
+string-major: the beam is a C-contiguous (N, B) array of positions, each
+a cursor minus 1, and one `take` of whole rows from the table viewed as
+(N * (max_len + 1), sigma), at the positions plus each string's row
+offset plus 1, is the (N, B, sigma) block.  Its column parent * sigma +
+symbol, a slot, holds that child's positions (the sentinel where a
+string has no occurrence), so feasibility is a maximum over the block's
+leading axis, and the children are the feasible slots, listed
+symbol-major, then by parent (in slot order the stable sorts of the rank
+and the merge find shorter presorted runs and take longer).  The block
+and the remainders are written in place, level after level, into two
+buffers sized for the full width.  No column of the block is copied for
+scoring: minlen takes the minimum over the strings and gcov its moments
+and occurrence bound on every slot (gcov first clamps any sentinel to
+its string's last position, so every slot reads in-range suffix counts),
+and one 1-D `take` by slot keeps the children's scores.  A probability
+score copies the children's columns once, since its window and its k
+depend on their remainders only.  Cursor columns are otherwise gathered
+for the candidate rows the rank sorts, the merge's children and the kept
+beam.  The beam, the block, the remainders and a probability score's
+window index all keep the instance's table dtype (`uint16` for strings
+shorter than 65535, else `int32`): no arithmetic on them mixes in
+another integer dtype (only the gather indices are intp, and gcov's
 exact sums int64).  The scorers, `occurrence_bounds`, the rank and the
-merge receive the transposed (children, N) views, and numpy reduces
-over their strings at the leading-axis speed of the base.  The rank is two stable sorts, first
-of the cursor vectors, each read as one string of big-endian bytes, then
-of the negated scores in that order; the merge builds those keys once,
-ranks every child, and finds runs of equal vectors by comparing adjacent
-ranked columns one string at a time.  The gcov occurrence bound
-is a running minimum over the strings of each child's suffix counts,
-one (children, sigma) block at a time, and a probability score builds
+merge receive transposed (slots, N) views, and numpy reduces over their
+strings at the leading-axis speed of the base.  The rank is two stable
+sorts, first of the cursor vectors, each read as one string of
+big-endian bytes (positions sort as their cursors do), then of the
+negated scores in that order; the merge builds those keys once, ranks
+every child, and finds runs of equal vectors by comparing adjacent
+ranked columns one string at a time.  The gcov occurrence bound gathers
+every string's suffix counts in one step while a slot has at most
+ONE_GATHER_COUNTS of them, and is otherwise a running minimum over the
+strings, one (slots, sigma) block at a time; a probability score builds
 its p(k, .) row only over the window from the level's shortest to its
-longest remainder.  Its children are listed symbol-major, then by
-parent, and the rank sort is stable: children equal in score and cursor
-vector share their last symbol, so among them the lower parent index
-ranks first.  Per-level parent/symbol arrays form the arena that the
-final solution is reconstructed from.  An upper bound on all of this,
-`search_bytes`, is checked against the memory budget before the first level.
+longest remainder and sums it over blocks of strings.  The rank sort is
+stable: children equal in score and cursor vector share their last
+symbol, so among them the lower parent index ranks first.  Per-level
+parent/symbol arrays form the arena that the final solution is
+reconstructed from.  An upper bound on all of this, `search_bytes`, is
+checked against the memory budget before the first level.
 """
 
 from __future__ import annotations
@@ -66,6 +81,10 @@ from .probability import check_budget, get_kernel
 
 # Ties in score rank by cursor vector, lexicographically ascending.
 TIE_BREAK = "cursor-lex"
+
+# `occurrence_bounds` gathers a row's suffix counts in one step while they
+# number at most this many (N * sigma), and string by string beyond it
+ONE_GATHER_COUNTS = 64
 
 
 @dataclass(frozen=True)
@@ -161,62 +180,96 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     need = search_bytes(beta, n, sigma, instance.max_len)
     check_budget(need, f"search for beta={beta}, N={n}, sigma={sigma}")
     spec = config.heuristic
+    kind = spec.kind
     # its O(max_len) lookup is built outside the timed section; the
     # per-level rows are built inside it
-    kernel = get_kernel(sigma, instance.max_len) if spec.kind.uses_probability else None
+    kernel = get_kernel(sigma, instance.max_len) if kind.uses_probability else None
     gamma = spec.gamma(n)
 
-    lengths = instance.lengths[:, None]
+    # each string's last position, L_i - 1, in the table dtype (65535 or -1
+    # for an empty string, whose search stops at the root: no slot is feasible)
+    last = (instance.lengths - 1)[:, None]
     # string i's rows of the next table start at i * (max_len + 1) once it is
-    # flattened (a view); intp, so beam + offsets cannot overflow the table dtype
+    # flattened (a view), and a position p is read at row p + 1, its cursor;
+    # intp, so beam + offsets cannot overflow the table dtype
     stride = instance.max_len + 1
-    offsets = np.arange(n, dtype=np.intp)[:, None] * stride
+    offsets = np.arange(n, dtype=np.intp)[:, None] * stride + 1
     flat_next = instance.next_table.reshape(n * stride, sigma)
-    suffix_table = instance.suffix_table
+    # slot parent * sigma + symbol of a (B, sigma) block, its parent and its symbol
+    slot_of = np.arange(beta * sigma).reshape(beta, sigma)
+    parent_of = np.repeat(np.arange(beta), sigma)
+    symbol_of = np.tile(np.arange(sigma, dtype=np.int16), beta)
+
+    # one level's gathered block and its remainders, (N, B * sigma) cells
+    # each, are written in place level after level: a fresh array that size
+    # costs a page fault for every page it touches
+    block_cells = np.empty(n * beta * sigma, dtype=flat_next.dtype)
+    rem_cells = np.empty_like(block_cells)
 
     t0 = time.perf_counter()
-    # string-major (N, B), in the table dtype like every per-level array
-    beam = np.zeros((n, 1), dtype=flat_next.dtype)
+    # string-major (N, B) positions, each its cursor - 1, so the next gather is
+    # at beam + offsets; the root's cursors are 0
+    beam = np.full((n, 1), -1, dtype=np.intp)
     arena: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, symbol codes)
     levels = 0
     nodes_expanded = 0
 
     while True:
-        # (N, B, sigma): string i's next positions for node b are one row
-        block = flat_next.take(beam + offsets, axis=0)
-        feasible = np.logical_and.reduce(block != instance.no_occurrence, axis=0)  # (B, sigma)
-        codes, parents = np.nonzero(feasible.T)  # symbol-major, then parent
-        if len(codes) == 0:
+        width = beam.shape[1] * sigma
+        # (N, B, sigma): string i's next positions for node b are one row.  A
+        # position is below max_len, so every row is in range, and "clip"
+        # only keeps `take` from buffering what it writes to `out`
+        block = flat_next.take(
+            beam + offsets, axis=0, mode="clip",
+            out=block_cells[:n * width].reshape(n, -1, sigma),
+        )
+        # the sentinel is the dtype's largest value: a slot is infeasible
+        # exactly when it is some string's largest entry
+        feasible = np.maximum.reduce(block, axis=0) != instance.no_occurrence  # (B, sigma)
+        # the children's slots, symbol-major, then by parent
+        slots = slot_of[:len(feasible)].T[feasible.T]
+        if len(slots) == 0:
             break
-        cursors = block.reshape(n, -1).take(parents * sigma + codes, axis=1)  # (N, children)
-        cursors += 1  # at most max_len, below the sentinel
-        del block  # not needed past here; frees its memory before scoring
-        remainders = lengths - cursors
-        # the scorers and the rank read (children, N) views of these arrays
-        cursor_rows, rem_rows = cursors.T, remainders.T
+        # (N, B * sigma): a slot's column holds its child's positions
+        positions = block.reshape(n, width)
 
-        if spec.kind is HeuristicKind.MINLEN:
-            scores = score_minlen_batch(rem_rows)
-        elif spec.kind is HeuristicKind.GCOV:
-            ubs = occurrence_bounds(suffix_table, cursor_rows)
-            scores = score_gcov_batch(rem_rows, ubs, gamma)
-        else:
+        if kernel is not None:
+            # a probability score: its k and window come from the children's
+            # remainders only, so they are copied out
+            remainders = positions.take(
+                slots, axis=1, mode="clip", out=rem_cells[:n * len(slots)].reshape(n, -1)
+            )  # (N, children)
+            np.subtract(last, remainders, out=remainders)
             lo, hi = int(remainders.min()), int(remainders.max())
             k = spec.fixed_k
             if k is None:
                 k = select_k(spec, lo, hi, sigma, n)
-            scores = score_prob_batch(rem_rows, k, kernel, hi, lo)
+            scores = score_prob_batch(remainders.T, k, kernel, hi, lo)
+        else:
+            # scored per slot; an infeasible slot's score is never taken
+            remainders = rem_cells[:n * width].reshape(n, width)
+            if kind is HeuristicKind.MINLEN:
+                np.subtract(last, positions, out=remainders)
+                scores = score_minlen_batch(remainders.T)
+            else:
+                if len(slots) < width:
+                    # the sentinels become L_i - 1, so every slot reads in-range rows
+                    np.minimum(positions, last, out=positions)
+                np.subtract(last, positions, out=remainders)
+                ubs = occurrence_bounds(instance.suffix_table, positions.T, 1)
+                scores = score_gcov_batch(remainders.T, ubs, gamma)
+            scores = scores.take(slots)
         nodes_expanded += len(scores)
 
+        # a child's positions are its cursors minus 1: the same lexicographic order
         if config.dominance_filter:
-            order = _merge_duplicates(cursor_rows, scores)[:beta]
+            order = _merge_duplicates(scores, positions.T, slots)[:beta]
         else:
-            order = _rank(scores, cursor_rows, beta)
-        beam = cursors.take(order, axis=1)
-        arena.append((parents[order], codes[order].astype(np.int16)))
+            order = _rank(scores, positions.T, beta, slots)
+        kept = slots[order]
+        beam = positions.take(kept, axis=1)
+        arena.append((parent_of.take(kept), symbol_of.take(kept)))
         levels += 1
-        # free this level's (N, children) arrays before the next gather
-        del cursors, remainders, cursor_rows, rem_rows
 
     wall = time.perf_counter() - t0
     solution = _walk_arena(instance, arena)
@@ -237,58 +290,75 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
 def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     """Upper bound on the array bytes a search at `width` holds at one time.
 
-    Cursors, remainders and the gathered block are in the table dtype,
-    `table_dtype(max_len)`, of w bytes (2 for uint16, 4 for int32).  A
-    level has at most width * sigma children.  Each (child, string) cell
-    takes at most 6w + 10 bytes: the gathered block with its bool
-    feasibility mask, the cursors and remainders, a probability score's
-    window index and float64 gathered row (gcov's int64 squares are
-    smaller), and two copies in the rank (the candidates' columns and
-    their byte-string keys) or, in the merge, the keys, the ranked
-    columns and their bool comparison.  Each child adds 96 bytes in
-    twelve int64/float64 vectors (its symbol, parent, block row and
-    score; the rank's negated scores, their partition copy, the
-    candidate rows and their scores; the key order, the scores gathered
-    by it, their order and the composed order; a scorer's own vectors,
-    gcov's moments among them, are gone before the rank starts) and
-    gcov's two (children, sigma) blocks of w-byte counts, the beam its
-    cursors and intp index, a probability score its O(max_len) row.  The
-    arena keeps an int64 parent and an int16 symbol per kept child for
-    each of at most max_len levels; the Python objects holding them
-    (about 300 bytes a level) are not counted.
+    A level has width * sigma slots, one per (parent, symbol), and every
+    child is one of them.  The gathered block, the remainders and a
+    probability score's window index are in the table dtype,
+    `table_dtype(max_len)`, of w bytes (2 for uint16, 4 for int32).  Each
+    (slot, string) cell takes 2w bytes for the block and the remainders,
+    which are kept from level to level, plus the larger of two sets of
+    temporaries that are never held together: a scorer's (a probability
+    score's window index and float64 gather, with its carried row at most
+    w + 17 bytes a cell; gcov's intp row index or int64 squares, 8) and
+    the rank's (the candidates' columns and their byte-string keys) or the
+    merge's (the children's columns, their keys, the ranked columns and
+    their bool comparison, 3w + 1).  Each slot adds 114 bytes in twelve
+    int64/float64 vectors (its score before and after the take by slot, its
+    slot; the rank's negated scores, their partition copy, the candidate
+    rows, slots and scores; the key order, the scores gathered by it, their
+    order and the composed order; gcov's moments are gone before the rank
+    starts) and the slot, parent and symbol tables, and gcov's suffix
+    counts: one gather of at most ONE_GATHER_COUNTS w-byte counts, or two
+    (slots, sigma) blocks.  The beam holds its positions and intp gather
+    index, a probability score its O(max_len) row.  The arena keeps an
+    int64 parent and an int16 symbol per kept child for each of at most
+    max_len levels; the Python objects holding them (about 300 bytes a
+    level) are not counted.
     """
     w = table_dtype(max_len).itemsize
-    per_child = n_strings * (6 * w + 10) + 96 + 2 * w * sigma
-    level = width * sigma * per_child + width * n_strings * (w + 8) + 48 * (max_len + 1)
+    per_cell = 2 * w + max(w + 17, 3 * w + 1)
+    per_slot = n_strings * per_cell + 114 + w * max(ONE_GATHER_COUNTS, 2 * sigma)
+    level = width * sigma * per_slot + width * n_strings * (w + 8) + 48 * (max_len + 1)
     return level + max_len * width * 10
 
 
-def occurrence_bounds(suffix_table: np.ndarray, cursors: np.ndarray) -> np.ndarray:
-    """`Instance.upper_bound` of every row of a (rows, N) cursor matrix.
+def occurrence_bounds(
+    suffix_table: np.ndarray, cursors: np.ndarray, shift: int = 0
+) -> np.ndarray:
+    """`Instance.upper_bound` of every row of the (rows, N) cursor matrix `cursors + shift`.
 
-    Sum over symbols of the least suffix count over the strings, taken as
-    a running minimum string by string, so the only temporary is one
-    (rows, sigma) block.
+    Sum over symbols of the least suffix count over the strings.  While a
+    row has at most ONE_GATHER_COUNTS counts (N * sigma), every string's
+    are gathered in one step and reduced; otherwise they are a running
+    minimum string by string, so the only temporaries are two (rows,
+    sigma) blocks.
     """
-    least = suffix_table[0].take(cursors[:, 0], axis=0)
-    for i in range(1, cursors.shape[1]):
-        np.minimum(least, suffix_table[i].take(cursors[:, i], axis=0), out=least)
+    n, stride, sigma = suffix_table.shape
+    if n * sigma <= ONE_GATHER_COUNTS:
+        # string i's row for cursor c is row i * stride + c of the flat table
+        rows = cursors.T + np.arange(shift, n * stride + shift, stride)[:, None]
+        counts = suffix_table.reshape(n * stride, sigma).take(rows, axis=0)
+        return np.minimum.reduce(counts, axis=0).sum(axis=1)
+    least = suffix_table[0, shift:].take(cursors[:, 0], axis=0)
+    for i in range(1, n):
+        np.minimum(least, suffix_table[i, shift:].take(cursors[:, i], axis=0), out=least)
     return least.sum(axis=1)
 
 
-def _rank(scores: np.ndarray, cursors: np.ndarray, top: int) -> np.ndarray:
+def _rank(scores: np.ndarray, cursors: np.ndarray, top: int, slots: np.ndarray) -> np.ndarray:
     """The first `top` indices by score descending, cursor vector lex ascending.
 
-    Only rows scoring at or above the top-th best score can be among the
-    first `top`, so only those are sorted; `top` >= the row count sorts all.
+    Child j's cursor vector is row `slots[j]` of `cursors`.  Only children
+    scoring at or above the top-th best score can be among the first
+    `top`, so only their rows are gathered and sorted; `top` >= the child
+    count sorts all.
     """
     neg = -scores
     if top >= len(neg):
-        return _lex_order(neg, _row_keys(cursors))
+        return _lex_order(neg, _row_keys(cursors, slots))
     cutoff = np.partition(neg, top - 1)[top - 1]
     # not `neg <= cutoff`: a NaN cutoff must keep every row, as the full sort would
     rows = np.flatnonzero(~(neg > cutoff))
-    return rows[_lex_order(neg[rows], _row_keys(cursors, rows))[:top]]
+    return rows[_lex_order(neg[rows], _row_keys(cursors, slots[rows]))[:top]]
 
 
 def _lex_order(neg_scores: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -310,15 +380,18 @@ def _row_keys(cursors: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray
     return big.view(np.dtype((np.void, big.itemsize * cursors.shape[1]))).ravel()
 
 
-def _merge_duplicates(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:
+def _merge_duplicates(scores: np.ndarray, cursors: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Indices of one child per distinct cursor vector, in rank order.
 
-    Copies of a vector share its score, so after the full rank they are
-    adjacent and the first of each run is the one kept.  Runs are found
-    by comparing adjacent ranked vectors one string at a time.
+    Child j's cursor vector is row `slots[j]` of `cursors`; every child's
+    row is gathered once.  Copies of a vector share its score, so after
+    the full rank they are adjacent and the first of each run is the one
+    kept.  Runs are found by comparing adjacent ranked vectors one string
+    at a time.
     """
-    order = _lex_order(-scores, _row_keys(cursors))
-    ranked = cursors.T.take(order, axis=1)
+    columns = cursors.T.take(slots, axis=1)
+    order = _lex_order(-scores, _row_keys(columns.T))
+    ranked = columns.take(order, axis=1)
     first = np.ones(len(order), dtype=bool)
     first[1:] = np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=0)
     return order[first]

@@ -176,6 +176,10 @@ def score_minlen(instance: Instance, state: NodeState) -> Score:
 # --------------------------------------------------------------------------
 
 
+# strings per block of the window gather and of gcov's squared remainders
+STRING_BLOCK = 16
+
+
 def score_prob_batch(
     remaining: np.ndarray,
     k: int,
@@ -187,12 +191,30 @@ def score_prob_batch(
 
     `n_lo` and `n_hi` bound the entries of `remaining` when the caller
     knows them; the p(k, .) row is then built only over that window.
-    The window index is laid out string-major whatever the caller's
-    layout, so each sum adds the strings in order and a child's score
-    depends only on its remainders.
     """
-    index = np.subtract(remaining.T, n_lo, order="C")
-    return kernel.log_row(k, n_hi, n_lo)[index].sum(axis=0)
+    return window_sum(kernel.log_row(k, n_hi, n_lo), remaining.T, n_lo)
+
+
+def window_sum(row: np.ndarray, strings: np.ndarray, n_lo: int) -> np.ndarray:
+    """`row[strings - n_lo].sum(axis=0)`, bitwise, for a (strings, m) array.
+
+    The window index is laid out string-major whatever the layout of
+    `strings`, and numpy adds the rows of a C-contiguous array in order,
+    so each sum adds the strings in order and a column's sum depends only
+    on its entries.  The strings are indexed and gathered STRING_BLOCK at
+    a time below a carried row holding the sum so far, so every
+    temporary is at most (STRING_BLOCK + 1, m) and stays in cache.
+    """
+    total = row.take(np.subtract(strings[:STRING_BLOCK], n_lo, order="C")).sum(axis=0)
+    if len(strings) <= STRING_BLOCK:
+        return total
+    carried = np.empty((STRING_BLOCK + 1, strings.shape[1]))
+    for start in range(STRING_BLOCK, len(strings), STRING_BLOCK):
+        part = np.subtract(strings[start:start + STRING_BLOCK], n_lo, order="C")
+        carried[0] = total
+        carried[1:len(part) + 1] = row.take(part)
+        total = carried[:len(part) + 1].sum(axis=0)
+    return total
 
 
 def remainder_moments(remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +229,10 @@ def remainder_moments(remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = remaining.shape[1]
     s1 = remaining.sum(axis=1, dtype=np.int64)
-    s2 = np.square(remaining, dtype=np.int64).sum(axis=1)
+    # squared STRING_BLOCK strings at a time, so the int64 squares stay small
+    s2 = np.square(remaining[:, :STRING_BLOCK], dtype=np.int64).sum(axis=1)
+    for start in range(STRING_BLOCK, n, STRING_BLOCK):
+        s2 += np.square(remaining[:, start:start + STRING_BLOCK], dtype=np.int64).sum(axis=1)
     return s1 / n, (n * s2 - s1 * s1) / (n * (n - 1))
 
 

@@ -2,10 +2,13 @@
 
 `ref_beam_search` is the former form of the engine's level: one table
 gather, one scorer call and one block per symbol, glued back together
-with `np.concatenate`.  The engine now gathers, expands and scores the
-whole level at once; its children come out symbol-major, then by parent,
-which is the order of the concatenated blocks, so the stable rank breaks
-ties the same way.  The properties hold the engine to the reference, and
+with `np.concatenate`, and ranked on the compacted cursors.  The engine
+now gathers the whole level at once, scores minlen and gcov on every
+(parent, symbol) slot of the gathered block and reads the rank's cursor
+rows from it; its children come out symbol-major, then by parent, which
+is the order of the concatenated blocks, so the stable rank breaks ties
+the same way.  The instances have strings of unequal length, in uint16
+or int32 tables.  The properties hold the engine to the reference, and
 every solution to the admissible bounds of the problem: a common
 subsequence no longer than the exact LCS or the root's occurrence bound.
 """
@@ -13,6 +16,7 @@ subsequence no longer than the exact LCS or the root's occurrence bound.
 import string
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,13 +105,21 @@ def ref_beam_search(instance, config):
         nodes_expanded += len(all_scores)
 
         if config.dominance_filter:
-            order = _merge_duplicates(all_cursors, all_scores)[:beta]
+            order = _merge_duplicates(all_scores, all_cursors, np.arange(len(all_scores)))[:beta]
         else:
-            order = _rank(all_scores, all_cursors, beta)
+            order = _rank(all_scores, all_cursors, beta, np.arange(len(all_scores)))
         beam = all_cursors[order]
         arena.append((all_parents[order], all_codes[order]))
         levels += 1
     return _walk_arena(instance, arena), levels, nodes_expanded
+
+
+def build_in(dtype, alphabet, strings):
+    """`build_instance` with the tables in `dtype` (None: the dtype it picks)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if dtype is not None:
+            mp.setattr("lcsbeam.instance.table_dtype", lambda max_len: np.dtype(dtype))
+        return build_instance(alphabet, strings)
 
 
 @st.composite
@@ -116,11 +128,12 @@ def instances(draw, max_len):
     alphabet = ALPHABET[:sigma]
     strings = []
     for _ in range(draw(st.integers(2, 5))):
-        # an explicit length: plain st.text mostly draws very short strings
+        # an explicit length per string, so the strings' lengths differ:
+        # plain st.text mostly draws very short strings
         length = draw(st.integers(1, max_len))
         codes = draw(st.lists(st.integers(0, sigma - 1), min_size=length, max_size=length))
         strings.append("".join(alphabet[c] for c in codes))
-    return build_instance(alphabet, strings)
+    return build_in(draw(st.sampled_from([None, np.int32])), alphabet, strings)
 
 
 specs = st.one_of(
@@ -142,6 +155,21 @@ def test_level_matches_per_symbol_blocks(inst, spec, beta, merge):
     assert report.solution == solution
     assert report.length == len(solution)
     assert (report.levels, report.nodes_expanded) == (levels, expanded)
+
+
+@pytest.mark.parametrize("dtype", [None, np.int32])
+@pytest.mark.parametrize("spec", [HeuristicSpec(kind=kind) for kind in HeuristicKind],
+                         ids=lambda spec: spec.kind.value)
+def test_empty_string_stops_at_the_root(spec, dtype):
+    # its last position L - 1 is 65535 (the uint16 sentinel) or -1: no slot is
+    # feasible, so the search ends before any level is scored
+    inst = build_in(dtype, "AB", ["ABBA", "", "BAB"])
+    assert int(inst.lengths[1]) == 0
+    for merge in (False, True):
+        config = BeamConfig(heuristic=spec, beta=3, beta_h=1, dominance_filter=merge)
+        report = beam_search(inst, config)
+        assert (report.solution, report.levels, report.nodes_expanded) == ("", 0, 0)
+        assert ref_beam_search(inst, config) == ("", 0, 0)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -166,5 +194,23 @@ def test_occurrence_bounds_match_upper_bound(sigma, n, data):
     column = [st.one_of(st.just(len(s)), st.integers(0, len(s))) for s in strings]
     rows = data.draw(st.lists(st.tuples(*column), min_size=1, max_size=8), label="cursors")
     got = occurrence_bounds(inst.suffix_table, np.array(rows, dtype=np.int32))
+    want = [inst.upper_bound(NodeState(cursors=row, depth=0)) for row in rows]
+    assert got.tolist() == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 26), st.integers(2, 40), st.data())
+def test_occurrence_bounds_read_positions_with_a_shift(sigma, n, data):
+    # the engine passes a child's positions, each its cursor - 1, with shift 1
+    alphabet = string.ascii_uppercase[:sigma]
+    strings = data.draw(
+        st.lists(st.text(alphabet, min_size=1, max_size=12), min_size=n, max_size=n),
+        label="strings",
+    )
+    inst = build_instance(alphabet, strings)
+    column = [st.integers(1, len(s)) for s in strings]
+    rows = data.draw(st.lists(st.tuples(*column), min_size=1, max_size=8), label="cursors")
+    positions = np.array(rows, dtype=inst.suffix_table.dtype) - 1
+    got = occurrence_bounds(inst.suffix_table, positions, 1)
     want = [inst.upper_bound(NodeState(cursors=row, depth=0)) for row in rows]
     assert got.tolist() == want

@@ -37,6 +37,11 @@ def ref_survivors(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return keep[ref_rank(scores[keep], cursors[keep])]
 
 
+def every_row(cursors: np.ndarray) -> np.ndarray:
+    """The slots of children that are the rows of `cursors`, in order."""
+    return np.arange(len(cursors))
+
+
 # few values, so ties are common; 0.0 and -0.0 compare equal
 SCORE_VALUES = [0.0, -0.0, 1.0, -1.5, 2.5, -np.inf]
 
@@ -66,7 +71,7 @@ def test_rank_is_prefix_of_full_sort(cursors, data):
     )
     full = ref_rank(scores, cursors)
     for top in range(1, len(cursors) + 3):
-        assert np.array_equal(_rank(scores, cursors, top), full[:top])
+        assert np.array_equal(_rank(scores, cursors, top, every_row(cursors)), full[:top])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -75,7 +80,28 @@ def test_merge_matches_reference_survivors(cursors, palette):
     # in the engine a cursor vector fixes its score within a level
     _, inverse = np.unique(cursors, axis=0, return_inverse=True)
     scores = np.array(palette)[inverse.ravel() % len(palette)]
-    assert np.array_equal(_merge_duplicates(cursors, scores), ref_survivors(cursors, scores))
+    assert np.array_equal(
+        _merge_duplicates(scores, cursors, every_row(cursors)), ref_survivors(cursors, scores)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(level_arrays(), st.data())
+def test_rank_and_merge_read_cursor_rows_by_slot(block, data):
+    # the engine passes every slot's row, as the (slots, N) view of a
+    # string-major block, and each child's slot
+    slots = np.array(data.draw(
+        st.lists(st.integers(0, len(block) - 1), min_size=1, max_size=len(block), unique=True)
+    ))
+    children = block[slots]
+    _, inverse = np.unique(children, axis=0, return_inverse=True)
+    palette = data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=8))
+    scores = np.array(palette)[inverse.ravel() % len(palette)]
+    rows = np.ascontiguousarray(block.T).T
+    full = ref_rank(scores, children)
+    for top in range(1, len(slots) + 2):
+        assert np.array_equal(_rank(scores, rows, top, slots), full[:top])
+    assert np.array_equal(_merge_duplicates(scores, rows, slots), ref_survivors(children, scores))
 
 
 # uint16 cursors that differ in each byte, the sentinel's neighbour included
@@ -97,15 +123,21 @@ def test_uint16_cursors_rank_and_merge_as_int32(data):
     scores = np.array(palette)[inverse.ravel() % len(palette)]
     full = ref_rank(scores, wide)
     for top in range(1, rows + 2):
-        assert np.array_equal(_rank(scores, narrow, top), full[:top])
-        assert np.array_equal(_rank(scores, narrow, top), _rank(scores, wide, top))
-    survivors = _merge_duplicates(narrow, scores)
+        assert np.array_equal(_rank(scores, narrow, top, every_row(narrow)), full[:top])
+        assert np.array_equal(
+            _rank(scores, narrow, top, every_row(narrow)), _rank(scores, wide, top, every_row(wide))
+        )
+    survivors = _merge_duplicates(scores, narrow, every_row(narrow))
     assert np.array_equal(survivors, ref_survivors(wide, scores))
-    assert np.array_equal(survivors, _merge_duplicates(wide, scores))
+    assert np.array_equal(survivors, _merge_duplicates(scores, wide, every_row(wide)))
 
 
-def _ref_rank_top(scores, cursors, top):
-    return ref_rank(scores, cursors)[:top]
+def _ref_rank_top(scores, cursors, top, slots):
+    return ref_rank(scores, cursors[slots])[:top]
+
+
+def _ref_survivors(scores, cursors, slots):
+    return ref_survivors(cursors[slots], scores)
 
 
 KINDS = [
@@ -132,7 +164,7 @@ def test_beam_search_matches_reference_selection(strings, kind, beta, merge):
     new = beam_search(inst, config)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_rank", _ref_rank_top)
-        mp.setattr(engine, "_merge_duplicates", ref_survivors)
+        mp.setattr(engine, "_merge_duplicates", _ref_survivors)
         ref = beam_search(inst, config)
     assert (new.solution, new.levels, new.nodes_expanded) == (
         ref.solution, ref.levels, ref.nodes_expanded

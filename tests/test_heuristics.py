@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcsbeam.heuristics import (
+    STRING_BLOCK,
     HeuristicKind,
     HeuristicSpec,
     Score,
@@ -23,6 +24,7 @@ from lcsbeam.heuristics import (
     score_prob_batch,
     remainder_moments,
     select_k,
+    window_sum,
 )
 from lcsbeam.instance import build_instance
 from lcsbeam.probability import exact_table, get_kernel
@@ -131,6 +133,23 @@ class TestScoreProb:
         c_order = score_prob_batch(rem, k, kernel, hi, lo)
         f_order = score_prob_batch(np.asfortranarray(rem), k, kernel, hi, lo)
         assert c_order.tobytes() == f_order.tobytes()
+
+
+    @pytest.mark.parametrize(
+        "shape", [(10, 800), (STRING_BLOCK, 50), (STRING_BLOCK + 1, 50), (200, 4000)]
+    )
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int32])
+    def test_window_sum_is_the_plain_gather_sum(self, shape, dtype):
+        # (10, 800) is one block of strings, (200, 4000) several
+        assert 10 <= STRING_BLOCK < 200
+        n_lo, n_hi = 40, 639
+        # p(50, n) = 0 below n = 50, so the window opens with -inf entries
+        row = get_kernel(4, 1000).log_row(50, n_hi, n_lo)
+        rng = np.random.default_rng(shape[0])
+        strings = rng.integers(n_lo, n_hi + 1, shape).astype(dtype)
+        want = row[strings - n_lo].sum(axis=0).tobytes()
+        assert window_sum(row, strings, n_lo).tobytes() == want
+        assert window_sum(row, np.asfortranarray(strings), n_lo).tobytes() == want
 
 
 class TestScoreGcov:
