@@ -43,20 +43,26 @@ shorter than 65535, else `int32`): no arithmetic on them mixes in
 another integer dtype (only the gather indices are intp, and gcov's
 exact sums int64).  The scorers, `occurrence_bounds`, the rank and the
 merge receive transposed (slots, N) views, and numpy reduces over their
-strings at the leading-axis speed of the base.  The rank is two stable
-sorts, first of the cursor vectors, each read as one string of
-big-endian bytes (positions sort as their cursors do), then of the
-negated scores in that order; the merge builds those keys once, ranks
-every child, and finds runs of equal vectors by comparing adjacent
-ranked columns one string at a time.  The gcov occurrence bound gathers
-every string's suffix counts in one step while a slot has at most
-ONE_GATHER_COUNTS of them, and is otherwise a running minimum over the
-strings, one (slots, sigma) block at a time; a probability score builds
+strings at the leading-axis speed of the base.  The rank and the merge
+gather the (N, rows) cursor columns of the rows they order (positions
+sort as their cursors do).  With at least LEXSORT_ROWS_PER_STRING rows
+per string, as in a merge of few strings, the order is one `np.lexsort`
+of those columns under the negated scores, which radix-sorts 16-bit
+keys; with fewer, as in a rank of few strings or any sort of many, it is
+two stable sorts, first of the cursor vectors, each read as one string
+of big-endian bytes, then of the negated scores in that order.  The
+merge orders every child once and finds runs of equal vectors by
+comparing adjacent ranked columns one string at a time.  The gcov
+occurrence bound gathers every string's suffix counts in one step while
+a slot has at most ONE_GATHER_COUNTS of them and sums the least counts
+with the symbol axis leading, and is otherwise a running minimum over
+the strings, one (slots, sigma) block at a time; a probability score builds
 its p(k, .) row only over the window from the level's shortest to its
 longest remainder and sums it over blocks of strings.  The rank sort is
-stable: children equal in score and cursor vector share their last
-symbol, so among them the lower parent index ranks first.  Per-level
-parent/symbol arrays form the arena that the final solution is
+stable, both ways: children equal in score and cursor vector share
+their last symbol, so among them the lower parent index ranks first.
+Per-level parent/symbol arrays, in the smallest unsigned dtypes that
+hold beta - 1 and sigma - 1, form the arena that the final solution is
 reconstructed from.  An upper bound on all of this, `search_bytes`, is
 checked against the memory budget before the first level.
 """
@@ -85,6 +91,14 @@ TIE_BREAK = "cursor-lex"
 # `occurrence_bounds` gathers a row's suffix counts in one step while they
 # number at most this many (N * sigma), and string by string beyond it
 ONE_GATHER_COUNTS = 64
+
+# `_rank` and `_merge_duplicates` order their rows by one `np.lexsort` of
+# the cursor columns while there are at least this many rows per string,
+# and by byte-string keys below it.  lexsort makes a pass per string, while
+# the key sort gains from the presorted runs of a level; on levels of real
+# solves lexsort wins a merge of ~800 children up to N ~ 16 and loses a
+# rank of ~220 rows from N = 10 on
+LEXSORT_ROWS_PER_STRING = 50
 
 
 @dataclass(frozen=True)
@@ -195,10 +209,12 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     stride = instance.max_len + 1
     offsets = np.arange(n, dtype=np.intp)[:, None] * stride + 1
     flat_next = instance.next_table.reshape(n * stride, sigma)
-    # slot parent * sigma + symbol of a (B, sigma) block, its parent and its symbol
+    # slot parent * sigma + symbol of a (B, sigma) block, its parent and its
+    # symbol, each in the smallest unsigned dtype that holds it: the arena
+    # keeps one parent and one symbol per kept child of every level
     slot_of = np.arange(beta * sigma).reshape(beta, sigma)
-    parent_of = np.repeat(np.arange(beta), sigma)
-    symbol_of = np.tile(np.arange(sigma, dtype=np.int16), beta)
+    parent_of = np.repeat(np.arange(beta, dtype=np.min_scalar_type(beta - 1)), sigma)
+    symbol_of = np.tile(np.arange(sigma, dtype=np.min_scalar_type(sigma - 1)), beta)
 
     # one level's gathered block and its remainders, (N, B * sigma) cells
     # each, are written in place level after level: a fresh array that size
@@ -301,24 +317,28 @@ def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     w + 17 bytes a cell; gcov's intp row index or int64 squares, 8) and
     the rank's (the candidates' columns and their byte-string keys) or the
     merge's (the children's columns, their keys, the ranked columns and
-    their bool comparison, 3w + 1).  Each slot adds 114 bytes in twelve
-    int64/float64 vectors (its score before and after the take by slot, its
-    slot; the rank's negated scores, their partition copy, the candidate
-    rows, slots and scores; the key order, the scores gathered by it, their
-    order and the composed order; gcov's moments are gone before the rank
-    starts) and the slot, parent and symbol tables, and gcov's suffix
-    counts: one gather of at most ONE_GATHER_COUNTS w-byte counts, or two
-    (slots, sigma) blocks.  The beam holds its positions and intp gather
-    index, a probability score its O(max_len) row.  The arena keeps an
-    int64 parent and an int16 symbol per kept child for each of at most
-    max_len levels; the Python objects holding them (about 300 bytes a
-    level) are not counted.
+    their bool comparison, 3w + 1; a lexsort needs no keys).  Each slot adds
+    104 bytes in twelve int64/float64 vectors (its score before and after
+    the take by slot, its slot; the rank's negated scores, their partition
+    copy, the candidate rows, slots and scores; the key order, the scores
+    gathered by it, their order and the composed order; gcov's moments are
+    gone before the rank starts) and the slot table, a bytes in the parent
+    and symbol tables, and gcov's suffix counts: at most ONE_GATHER_COUNTS
+    w-byte counts gathered in one step, and two (slots, sigma) blocks.  A
+    kept child takes a bytes in the arena: its parent in the smallest
+    unsigned dtype that holds width - 1 and its symbol in the one that
+    holds sigma - 1 (a = 2 while both are at most 256).  The beam holds
+    its positions and intp gather index, a probability score its
+    O(max_len) row.  The arena keeps a bytes per kept child for each of
+    at most max_len levels; the Python objects holding them (about 300
+    bytes a level) are not counted.
     """
     w = table_dtype(max_len).itemsize
+    a = np.min_scalar_type(width - 1).itemsize + np.min_scalar_type(sigma - 1).itemsize
     per_cell = 2 * w + max(w + 17, 3 * w + 1)
-    per_slot = n_strings * per_cell + 114 + w * max(ONE_GATHER_COUNTS, 2 * sigma)
+    per_slot = n_strings * per_cell + 104 + a + w * (ONE_GATHER_COUNTS + 2 * sigma)
     level = width * sigma * per_slot + width * n_strings * (w + 8) + 48 * (max_len + 1)
-    return level + max_len * width * 10
+    return level + max_len * width * a
 
 
 def occurrence_bounds(
@@ -328,16 +348,19 @@ def occurrence_bounds(
 
     Sum over symbols of the least suffix count over the strings.  While a
     row has at most ONE_GATHER_COUNTS counts (N * sigma), every string's
-    are gathered in one step and reduced; otherwise they are a running
-    minimum string by string, so the only temporaries are two (rows,
-    sigma) blocks.
+    are gathered in one step and reduced, and the least counts are summed
+    with the symbol axis leading (a sum along a short last axis is slow);
+    otherwise they are a running minimum string by string, so the only
+    temporaries are two (rows, sigma) blocks.
     """
     n, stride, sigma = suffix_table.shape
     if n * sigma <= ONE_GATHER_COUNTS:
         # string i's row for cursor c is row i * stride + c of the flat table
-        rows = cursors.T + np.arange(shift, n * stride + shift, stride)[:, None]
+        rows = np.add(cursors.T, np.arange(shift, n * stride + shift, stride)[:, None],
+                      dtype=np.intp)
         counts = suffix_table.reshape(n * stride, sigma).take(rows, axis=0)
-        return np.minimum.reduce(counts, axis=0).sum(axis=1)
+        least = np.ascontiguousarray(np.minimum.reduce(counts, axis=0).T)  # (sigma, rows)
+        return np.add.reduce(least, axis=0, dtype=np.intp)
     least = suffix_table[0, shift:].take(cursors[:, 0], axis=0)
     for i in range(1, n):
         np.minimum(least, suffix_table[i, shift:].take(cursors[:, i], axis=0), out=least)
@@ -349,48 +372,49 @@ def _rank(scores: np.ndarray, cursors: np.ndarray, top: int, slots: np.ndarray) 
 
     Child j's cursor vector is row `slots[j]` of `cursors`.  Only children
     scoring at or above the top-th best score can be among the first
-    `top`, so only their rows are gathered and sorted; `top` >= the child
-    count sorts all.
+    `top`, so only their rows are gathered and ordered by `_order`; `top`
+    >= the child count orders all.
     """
     neg = -scores
     if top >= len(neg):
-        return _lex_order(neg, _row_keys(cursors, slots))
+        return _order(neg, cursors.T.take(slots, axis=1))
     cutoff = np.partition(neg, top - 1)[top - 1]
     # not `neg <= cutoff`: a NaN cutoff must keep every row, as the full sort would
     rows = np.flatnonzero(~(neg > cutoff))
-    return rows[_lex_order(neg[rows], _row_keys(cursors, slots[rows]))[:top]]
+    return rows[_order(neg[rows], cursors.T.take(slots[rows], axis=1))[:top]]
 
 
-def _lex_order(neg_scores: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _order(neg_scores: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Stable order of the rows under (N, rows) `columns`: score desc, then lex asc.
+
+    With at least LEXSORT_ROWS_PER_STRING rows per string it is one
+    `np.lexsort` of the columns, which radix-sorts 16-bit keys.  Otherwise
+    it is two stable sorts, first of the cursor vectors, each read as one
+    string of big-endian bytes (cursors are >= 0, and the big-endian bytes
+    of a signed dtype equal the unsigned ones, so the strings compare in
+    the lexicographic order of the rows), then of the negated scores in
+    that order.  Rows equal in both keep their index order either way.
+    """
+    n, rows = columns.shape
+    if n * LEXSORT_ROWS_PER_STRING <= rows:
+        return np.lexsort(tuple(columns[::-1]) + (neg_scores,))
+    big = np.ascontiguousarray(columns.T, dtype=columns.dtype.newbyteorder(">"))
+    keys = big.view(np.dtype((np.void, big.itemsize * n))).ravel()
     by_key = np.argsort(keys, kind="stable")
     return by_key[np.argsort(neg_scores[by_key], kind="stable")]
-
-
-def _row_keys(cursors: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """One fixed-width byte string per cursor row (or per row in `rows`).
-
-    Cursors are >= 0, so their big-endian bytes (those of a signed dtype
-    equal the unsigned ones), read as one string, compare in the
-    lexicographic order of the rows.  The rows are gathered as columns of
-    the string-major (N, rows) array under `cursors`, and one transposing
-    cast lays out the keys.
-    """
-    columns = cursors.T if rows is None else cursors.T.take(rows, axis=1)
-    big = np.ascontiguousarray(columns.T, dtype=cursors.dtype.newbyteorder(">"))
-    return big.view(np.dtype((np.void, big.itemsize * cursors.shape[1]))).ravel()
 
 
 def _merge_duplicates(scores: np.ndarray, cursors: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Indices of one child per distinct cursor vector, in rank order.
 
     Child j's cursor vector is row `slots[j]` of `cursors`; every child's
-    row is gathered once.  Copies of a vector share its score, so after
-    the full rank they are adjacent and the first of each run is the one
-    kept.  Runs are found by comparing adjacent ranked vectors one string
-    at a time.
+    row is gathered once and all are ordered by `_order`.  Copies of a
+    vector share its score, so after the full rank they are adjacent and
+    the first of each run is the one kept.  Runs are found by comparing
+    adjacent ranked vectors one string at a time.
     """
     columns = cursors.T.take(slots, axis=1)
-    order = _lex_order(-scores, _row_keys(columns.T))
+    order = _order(-scores, columns)
     ranked = columns.take(order, axis=1)
     first = np.ones(len(order), dtype=bool)
     first[1:] = np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=0)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from lcsbeam import engine
 from lcsbeam.datasets import gen_correlated, gen_uncorrelated
 from lcsbeam.engine import (
     BeamConfig,
@@ -159,7 +160,7 @@ class TestLongInstances:
 
 class TestSearchBudget:
     def test_search_over_budget_is_refused(self, monkeypatch):
-        # the tables take 65.6 KiB; the search at beta=2000 is bounded at 38.6 MiB
+        # the tables take 65.6 KiB; the search at beta=2000 is bounded at 40.9 MiB
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
         inst, _ = gen_uncorrelated(4, 200, 20, 1)
         with pytest.raises(CapacityError, match="beta=2000, N=200, sigma=4"):
@@ -190,6 +191,27 @@ class TestSearchBudget:
         finally:
             tracemalloc.stop()
         assert peak <= search_bytes(beta, n, sigma, inst.max_len)
+
+
+class TestArena:
+    @pytest.mark.parametrize("beta,parent_bytes", [(200, 1), (300, 2)])
+    def test_arena_is_compact(self, beta, parent_bytes, monkeypatch):
+        # parents in the smallest dtype holding beta - 1, symbols in the one
+        # holding sigma - 1
+        inst, _ = gen_uncorrelated(4, 5, 120, 2)
+        walked = []
+        walk = engine._walk_arena
+
+        def recorded(instance, arena):
+            walked.extend(arena)
+            return walk(instance, arena)
+
+        monkeypatch.setattr(engine, "_walk_arena", recorded)
+        report = beam_search(inst, cfg(MINLEN, beta=beta))
+        assert report.verified and len(walked) == report.levels > 0
+        assert {parents.dtype.itemsize for parents, _ in walked} == {parent_bytes}
+        assert {codes.dtype.itemsize for _, codes in walked} == {1}
+        assert {parents.dtype.kind + codes.dtype.kind for parents, codes in walked} == {"uu"}
 
 
 class TestHyperHeuristic:

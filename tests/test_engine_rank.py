@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsbeam import engine
-from lcsbeam.engine import BeamConfig, _merge_duplicates, _rank, beam_search
+from lcsbeam.datasets import gen_correlated, gen_uncorrelated
+from lcsbeam.engine import BeamConfig, _merge_duplicates, _rank, beam_search, hyper_heuristic
 from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
 from lcsbeam.instance import build_instance
 
@@ -51,15 +52,31 @@ SCORE_VALUES = [0.0, -0.0, 1.0, -1.5, 2.5, -np.inf]
 CURSOR_VALUES = [0, 1, 255, 256, 65535, 65536, 1 << 24, (1 << 30) - 1]
 
 
+# uint16 cursors that differ in each byte, the sentinel's neighbour included
+UINT16_VALUES = [0, 1, 255, 256, 511, 65279, 65280, 65534]
+
+
 @st.composite
-def level_arrays(draw):
-    """Cursor rows over a small palette, so duplicate rows are common."""
-    rows = draw(st.integers(1, 40))
+def level_arrays(draw, values=CURSOR_VALUES, dtype=np.int32):
+    """Cursor rows over a small palette, so duplicate rows are common.
+
+    Half the draws have fewer than LEXSORT_ROWS_PER_STRING rows per
+    column, so the rank and the merge order them by byte-string keys; the
+    other half have at least that many, so a full sort is one lexsort.
+    Their up to 960 cells come from a drawn seed rather than one hypothesis
+    draw each.
+    """
     cols = draw(st.integers(1, 4))
-    cells = draw(
-        st.lists(st.sampled_from(CURSOR_VALUES), min_size=rows * cols, max_size=rows * cols)
-    )
-    return np.array(cells, dtype=np.int32).reshape(rows, cols)
+    least = cols * engine.LEXSORT_ROWS_PER_STRING
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, min(40, least - 1)))
+        cells = draw(st.lists(st.sampled_from(values), min_size=rows * cols,
+                              max_size=rows * cols))
+    else:
+        rows = draw(st.integers(least, least + 40))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cells = rng.choice(values, size=rows * cols)
+    return np.array(cells, dtype=dtype).reshape(rows, cols)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -90,9 +107,8 @@ def test_merge_matches_reference_survivors(cursors, palette):
 def test_rank_and_merge_read_cursor_rows_by_slot(block, data):
     # the engine passes every slot's row, as the (slots, N) view of a
     # string-major block, and each child's slot
-    slots = np.array(data.draw(
-        st.lists(st.integers(0, len(block) - 1), min_size=1, max_size=len(block), unique=True)
-    ))
+    slots = np.array(data.draw(st.permutations(range(len(block)))))
+    slots = slots[:data.draw(st.integers(1, len(block)))]
     children = block[slots]
     _, inverse = np.unique(children, axis=0, return_inverse=True)
     palette = data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=8))
@@ -104,19 +120,10 @@ def test_rank_and_merge_read_cursor_rows_by_slot(block, data):
     assert np.array_equal(_merge_duplicates(scores, rows, slots), ref_survivors(children, scores))
 
 
-# uint16 cursors that differ in each byte, the sentinel's neighbour included
-UINT16_VALUES = [0, 1, 255, 256, 511, 65279, 65280, 65534]
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.data())
-def test_uint16_cursors_rank_and_merge_as_int32(data):
-    rows = data.draw(st.integers(1, 40))
-    cols = data.draw(st.integers(1, 4))
-    cells = data.draw(
-        st.lists(st.sampled_from(UINT16_VALUES), min_size=rows * cols, max_size=rows * cols)
-    )
-    narrow = np.array(cells, dtype=np.uint16).reshape(rows, cols)
+@given(level_arrays(UINT16_VALUES, np.uint16), st.data())
+def test_uint16_cursors_rank_and_merge_as_int32(narrow, data):
+    rows = len(narrow)
     wide = narrow.astype(np.int32)
     _, inverse = np.unique(wide, axis=0, return_inverse=True)
     palette = data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=8))
@@ -169,3 +176,34 @@ def test_beam_search_matches_reference_selection(strings, kind, beta, merge):
     assert (new.solution, new.levels, new.nodes_expanded) == (
         ref.solution, ref.levels, ref.nodes_expanded
     )
+
+
+PATH_SPECS = {
+    "minlen": HeuristicSpec(kind=HeuristicKind.MINLEN),
+    "kanalytic-corr": HeuristicSpec(kind=HeuristicKind.PROB_K_ANALYTIC_CORR),
+    "gcov": HeuristicSpec(kind=HeuristicKind.GCOV),
+}
+
+
+@pytest.mark.parametrize("heuristic", ["minlen", "kanalytic-corr", "gcov", "hh"])
+@pytest.mark.parametrize("merge", [False, True], ids=["plain", "merge"])
+@pytest.mark.parametrize("family", ["corr", "uncorr"])
+@pytest.mark.parametrize("n", [10, 24])
+def test_search_is_the_same_on_both_order_paths(heuristic, merge, family, n, monkeypatch):
+    # a rows-per-string threshold of 0 orders every level by lexsort, and one
+    # no level reaches orders every level by byte-string keys
+    if family == "corr":
+        inst, _ = gen_correlated(4, n, 150, 0.1, 5)
+    else:
+        inst, _ = gen_uncorrelated(4, n, 150, 5)
+    spec = PATH_SPECS["kanalytic-corr" if heuristic == "hh" else heuristic]
+    config = BeamConfig(heuristic=spec, beta=60, beta_h=20, dominance_filter=merge)
+    runs = []
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
+        if heuristic == "hh":
+            report = hyper_heuristic(inst, config, PATH_SPECS["kanalytic-corr"], PATH_SPECS["gcov"])
+        else:
+            report = beam_search(inst, config)
+        runs.append((report.solution, report.levels, report.nodes_expanded))
+    assert runs[0] == runs[1]
