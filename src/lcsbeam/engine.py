@@ -8,11 +8,22 @@ Only the children scoring at or above the beta-th best score are sorted;
 ties among them still break by cursor vector, lexicographically
 ascending.  The longest solution seen anywhere in the run is returned.
 
-With `dominance_filter`, children with equal cursor vectors are merged.
 A cursor vector fixes its score within a level (every heuristic reads
 only the remainders and, for gcov, the suffix counts at the cursors), so
-after one full rank the copies of a vector sit next to each other and
-the first of each run survives.
+after a rank the copies of a vector sit next to each other.  With
+`dominance_filter`, children with equal cursor vectors are merged: the
+first of each run survives.  Without it, a beam of width beta keeps
+every copy, and copies are common (on a long instance over 4 letters the
+200 nodes of a level hold 5 to 25 distinct vectors).  The search holds
+each distinct vector once, with a count of its copies (the root is one
+vector with one copy), so a level gathers, scores and ranks each
+distinct (parent, symbol) child once.  Its copies are its parent's,
+ranked as adjacent rows; each run of equal vectors among the ranked
+children is kept as its first row, the one from the lowest parent,
+counting the copies of all its rows, until the count reaches beta,
+where the last run's count is cut.  The arena keeps one (parent,
+symbol) per kept vector, and `nodes_expanded` counts every copy, so
+the search output is that of the beam that keeps every copy.
 
 The wrapper trial-runs two heuristics at a reduced width and replays the
 winner (first one on ties) at full width.
@@ -51,8 +62,10 @@ of those columns under the negated scores, which radix-sorts 16-bit
 keys; with fewer, as in a rank of few strings or any sort of many, it is
 two stable sorts, first of the cursor vectors, each read as one string
 of big-endian bytes, then of the negated scores in that order.  The
-merge orders every child once and finds runs of equal vectors by
-comparing adjacent ranked columns one string at a time.  The gcov
+rank and the merge find runs of equal vectors by comparing the adjacent
+ranked byte-string keys, or after a lexsort the ranked columns one string
+at a time; the rank tests only its first beta rows, which hold every kept
+copy, and skips the copy arithmetic while every count is 1.  The gcov
 occurrence bound gathers every string's suffix counts in one step while
 a slot has at most ONE_GATHER_COUNTS of them and sums the least counts
 with the symbol axis leading, and is otherwise a running minimum over
@@ -60,11 +73,13 @@ the strings, one (slots, sigma) block at a time; a probability score builds
 its p(k, .) row only over the window from the level's shortest to its
 longest remainder and sums it over blocks of strings.  The rank sort is
 stable, both ways: children equal in score and cursor vector share
-their last symbol, so among them the lower parent index ranks first.
-Per-level parent/symbol arrays, in the smallest unsigned dtypes that
-hold beta - 1 and sigma - 1, form the arena that the final solution is
-reconstructed from.  An upper bound on all of this, `search_bytes`, is
-checked against the memory budget before the first level.
+their last symbol, so among them the lower parent index ranks first, and
+the walk back from the first vector of the last level steps only on
+first copies.  Per-level parent/symbol arrays, in the smallest unsigned
+dtypes that hold beta - 1 and sigma - 1, form the arena that the final
+solution is reconstructed from.  An upper bound on all of this,
+`search_bytes`, is checked against the memory budget before the first
+level.
 """
 
 from __future__ import annotations
@@ -226,6 +241,8 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     # string-major (N, B) positions, each its cursor - 1, so the next gather is
     # at beam + offsets; the root's cursors are 0
     beam = np.full((n, 1), -1, dtype=np.intp)
+    # each beam vector's copies, intp, or None while every vector has one
+    copies = None
     arena: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, symbol codes)
     levels = 0
     nodes_expanded = 0
@@ -275,13 +292,15 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
                 ubs = occurrence_bounds(instance.suffix_table, positions.T, 1)
                 scores = score_gcov_batch(remainders.T, ubs, gamma)
             scores = scores.take(slots)
-        nodes_expanded += len(scores)
+        # a child stands for as many copies as its parent
+        weights = None if copies is None else copies.take(parent_of.take(slots))
+        nodes_expanded += len(scores) if weights is None else int(weights.sum())
 
         # a child's positions are its cursors minus 1: the same lexicographic order
         if config.dominance_filter:
             order = _merge_duplicates(scores, positions.T, slots)[:beta]
         else:
-            order = _rank(scores, positions.T, beta, slots)
+            order, copies = _rank(scores, positions.T, beta, slots, weights)
         kept = slots[order]
         beam = positions.take(kept, axis=1)
         arena.append((parent_of.take(kept), symbol_of.take(kept)))
@@ -315,29 +334,34 @@ def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     temporaries that are never held together: a scorer's (a probability
     score's window index and float64 gather, with its carried row at most
     w + 17 bytes a cell; gcov's intp row index or int64 squares, 8) and
-    the rank's (the candidates' columns and their byte-string keys) or the
-    merge's (the children's columns, their keys, the ranked columns and
-    their bool comparison, 3w + 1; a lexsort needs no keys).  Each slot adds
-    104 bytes in twelve int64/float64 vectors (its score before and after
-    the take by slot, its slot; the rank's negated scores, their partition
-    copy, the candidate rows, slots and scores; the key order, the scores
-    gathered by it, their order and the composed order; gcov's moments are
-    gone before the rank starts) and the slot table, a bytes in the parent
-    and symbol tables, and gcov's suffix counts: at most ONE_GATHER_COUNTS
+    the rank's (the candidates' columns, their byte-string keys and the
+    ranked keys) or the merge's (the children's columns, their keys, the
+    ranked keys, or after a lexsort the ranked columns and their bool
+    comparison), at most 3w + 1.  Each slot adds 104 bytes in twelve
+    int64/float64 vectors (its score before and after the take by slot,
+    its slot; the rank's negated scores, their partition copy, the
+    candidate rows, slots and scores; the key order, the scores gathered
+    by it, their order and the composed order; gcov's moments are gone
+    before the rank starts) and the slot table, 50 + a bytes for the copy counts (each child's
+    copies and parent index; for each candidate the run test's two bool
+    vectors and five intp ones: the kept order, its weights, the run
+    starts, their weights and the running sums), a bytes in the parent and
+    symbol tables, and gcov's suffix counts: at most ONE_GATHER_COUNTS
     w-byte counts gathered in one step, and two (slots, sigma) blocks.  A
-    kept child takes a bytes in the arena: its parent in the smallest
+    kept vector takes a bytes in the arena: its parent in the smallest
     unsigned dtype that holds width - 1 and its symbol in the one that
     holds sigma - 1 (a = 2 while both are at most 256).  The beam holds
-    its positions and intp gather index, a probability score its
-    O(max_len) row.  The arena keeps a bytes per kept child for each of
-    at most max_len levels; the Python objects holding them (about 300
-    bytes a level) are not counted.
+    its positions, intp gather index and intp copy counts, a probability
+    score its kernel's three O(max_len) lookups and the row built from
+    them.  The arena keeps a bytes per kept vector for each of at most
+    max_len levels; the Python objects holding them (about 300 bytes a
+    level) are not counted.
     """
     w = table_dtype(max_len).itemsize
     a = np.min_scalar_type(width - 1).itemsize + np.min_scalar_type(sigma - 1).itemsize
     per_cell = 2 * w + max(w + 17, 3 * w + 1)
-    per_slot = n_strings * per_cell + 104 + a + w * (ONE_GATHER_COUNTS + 2 * sigma)
-    level = width * sigma * per_slot + width * n_strings * (w + 8) + 48 * (max_len + 1)
+    per_slot = n_strings * per_cell + 154 + 2 * a + w * (ONE_GATHER_COUNTS + 2 * sigma)
+    level = width * sigma * per_slot + width * (n_strings * (w + 8) + 8) + 48 * (max_len + 1)
     return level + max_len * width * a
 
 
@@ -367,24 +391,57 @@ def occurrence_bounds(
     return least.sum(axis=1)
 
 
-def _rank(scores: np.ndarray, cursors: np.ndarray, top: int, slots: np.ndarray) -> np.ndarray:
-    """The first `top` indices by score descending, cursor vector lex ascending.
+def _rank(
+    scores: np.ndarray,
+    cursors: np.ndarray,
+    top: int,
+    slots: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The first `top` copies by score descending, cursor vector lex ascending.
 
-    Child j's cursor vector is row `slots[j]` of `cursors`.  Only children
-    scoring at or above the top-th best score can be among the first
-    `top`, so only their rows are gathered and ordered by `_order`; `top`
-    >= the child count orders all.
+    Child j's cursor vector is row `slots[j]` of `cursors`, and it stands
+    for `weights[j]` >= 1 copies (one each when `weights` is None), which
+    rank as adjacent rows.  Every child stands for at least one copy, so
+    only children scoring at or above the top-th best score can be among
+    the first `top` copies: only their rows are gathered and ordered by
+    `_order` (`top` >= the child count orders all), and at most the first
+    `top` of them are kept.  A cursor vector fixes its score, so the copies
+    of a vector are one run of adjacent rows.  Each run is kept as its
+    first row, counting its rows' weights, until the count reaches `top`;
+    the last run's count is cut to fit.
+
+    Returns (rows, copies): the kept children's indices in rank order and
+    each one's count (intp), or None for the count when each is 1.
     """
     neg = -scores
-    if top >= len(neg):
-        return _order(neg, cursors.T.take(slots, axis=1))
-    cutoff = np.partition(neg, top - 1)[top - 1]
-    # not `neg <= cutoff`: a NaN cutoff must keep every row, as the full sort would
-    rows = np.flatnonzero(~(neg > cutoff))
-    return rows[_order(neg[rows], cursors.T.take(slots[rows], axis=1))[:top]]
+    rows = None
+    if top < len(neg):
+        cutoff = np.partition(neg, top - 1)[top - 1]
+        # not `neg <= cutoff`: a NaN cutoff must keep every row, as the full sort would
+        rows = np.flatnonzero(~(neg > cutoff))
+        neg, slots = neg[rows], slots[rows]
+    columns = cursors.T.take(slots, axis=1)
+    order, keys = _order(neg, columns)
+    order = order[:top]
+    starts = np.flatnonzero(_run_heads(order, columns, keys))
+    if rows is not None:
+        order = rows[order]
+    if weights is None:
+        # one copy a row: a run counts its rows
+        if len(starts) == len(order):
+            return order, None
+        return order[starts], np.diff(starts, append=len(order))
+    counts = np.add.reduceat(weights.take(order), starts)
+    total = np.cumsum(counts)
+    # the runs up to the first whose running count reaches top
+    kept = min(int(np.searchsorted(total, top)) + 1, len(total))
+    counts = counts[:kept]
+    counts[-1] -= max(int(total[kept - 1]) - top, 0)
+    return order[starts[:kept]], counts
 
 
-def _order(neg_scores: np.ndarray, columns: np.ndarray) -> np.ndarray:
+def _order(neg_scores: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Stable order of the rows under (N, rows) `columns`: score desc, then lex asc.
 
     With at least LEXSORT_ROWS_PER_STRING rows per string it is one
@@ -394,14 +451,32 @@ def _order(neg_scores: np.ndarray, columns: np.ndarray) -> np.ndarray:
     of a signed dtype equal the unsigned ones, so the strings compare in
     the lexicographic order of the rows), then of the negated scores in
     that order.  Rows equal in both keep their index order either way.
+    Returns the order and the rows' byte-string keys (None after a lexsort).
     """
     n, rows = columns.shape
     if n * LEXSORT_ROWS_PER_STRING <= rows:
-        return np.lexsort(tuple(columns[::-1]) + (neg_scores,))
+        return np.lexsort(tuple(columns[::-1]) + (neg_scores,)), None
     big = np.ascontiguousarray(columns.T, dtype=columns.dtype.newbyteorder(">"))
     keys = big.view(np.dtype((np.void, big.itemsize * n))).ravel()
     by_key = np.argsort(keys, kind="stable")
-    return by_key[np.argsort(neg_scores[by_key], kind="stable")]
+    return by_key[np.argsort(neg_scores[by_key], kind="stable")], keys
+
+
+def _run_heads(order: np.ndarray, columns: np.ndarray, keys: np.ndarray | None) -> np.ndarray:
+    """Whether each of the rows `order` differs from the one before it.
+
+    The rows' byte-string keys, where `_order` built them, are compared
+    whole, one per row; otherwise their (N, rows) `columns`, one string at
+    a time.  The first row always differs.
+    """
+    heads = np.ones(len(order), dtype=bool)
+    if keys is None:
+        ranked = columns.take(order, axis=1)
+        heads[1:] = np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    else:
+        ranked = keys.take(order)
+        heads[1:] = ranked[1:] != ranked[:-1]
+    return heads
 
 
 def _merge_duplicates(scores: np.ndarray, cursors: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -410,15 +485,11 @@ def _merge_duplicates(scores: np.ndarray, cursors: np.ndarray, slots: np.ndarray
     Child j's cursor vector is row `slots[j]` of `cursors`; every child's
     row is gathered once and all are ordered by `_order`.  Copies of a
     vector share its score, so after the full rank they are adjacent and
-    the first of each run is the one kept.  Runs are found by comparing
-    adjacent ranked vectors one string at a time.
+    the first of each run, found by `_run_heads`, is the one kept.
     """
     columns = cursors.T.take(slots, axis=1)
-    order = _order(-scores, columns)
-    ranked = columns.take(order, axis=1)
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1], axis=0)
-    return order[first]
+    order, keys = _order(-scores, columns)
+    return order[_run_heads(order, columns, keys)]
 
 
 def _walk_arena(instance: Instance, arena) -> str:

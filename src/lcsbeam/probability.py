@@ -501,7 +501,9 @@ class ProbKernel:
     those terms over m = k..n.  A kernel holds only its parameters and an
     O(n_max) log-gamma lookup and keeps nothing between calls, so each row
     is a pure function of (k, window) and memory does not grow with n_max
-    squared.
+    squared.  Next to the log-gamma lookup it holds two more: j ln beta and
+    j ln(alpha / beta), the products a row and a tail would otherwise form
+    afresh from an `arange`.
     """
 
     def __init__(self, sigma_size: int, n_max: int):
@@ -509,7 +511,12 @@ class ProbKernel:
             raise DomainError(f"n_max must be >= 0, got {n_max}")
         self.params = AlphabetParams(sigma_size)
         self.n_max = n_max
-        self._gammaln = gammaln(np.arange(n_max + 2))  # [j] = ln (j-1)!
+        j = np.arange(n_max + 2)
+        self._gammaln = gammaln(j)  # [j] = ln (j-1)!
+        if not self.params.degenerate:  # ln beta is -inf for a single letter
+            a, b = self.params.alpha, self.params.beta
+            self._j_ln_beta = j[: n_max + 1] * math.log(b)
+            self._j_ln_ratio = j[: n_max + 1] * math.log(a / b)
 
     def log_p(self, k: int, n: int) -> float:
         """ln p(k, n); DomainError unless k >= 0 and 0 <= n <= n_max."""
@@ -544,14 +551,17 @@ class ProbKernel:
             row[first - n_lo :] = 0.0
         elif first <= hi:
             lg = self._gammaln
-            terms = (
-                k * math.log(self.params.alpha)
-                + (np.arange(first, hi + 1) - k) * math.log(self.params.beta)
-                + (lg[first : hi + 1] - lg[k] - lg[first - k + 1 : hi - k + 2])
-            )
+            # term m = k..n: k ln alpha + (m - k) ln beta + ln C(m-1, k-1), in
+            # place in the row
+            terms = row[first - n_lo :]
+            np.add(self._j_ln_beta[first - k : hi - k + 1], k * math.log(self.params.alpha),
+                   out=terms)
+            binom = np.subtract(lg[first : hi + 1], lg[k])
+            np.subtract(binom, lg[first - k + 1 : hi - k + 2], out=binom)
+            terms += binom
             if n_lo > k:
                 terms[0] = self._log_tail(k, n_lo)  # stands for the terms m = k..n_lo
-            np.logaddexp.accumulate(terms, out=row[first - n_lo :])
+            np.logaddexp.accumulate(terms, out=terms)
             # float noise in the saturated region can nudge ln p above 0
             np.minimum(row, 0.0, out=row)
         row.setflags(write=False)
@@ -586,14 +596,12 @@ class ProbKernel:
             steps = (math.sqrt((g - c / 2) ** 2 + 2 * c * drop) - (g - c / 2)) / c
             count = min(total, math.ceil(steps) + 1)
         j0, j1 = (k, k + count - 1) if upper else (k - count, k - 1)
-        log_t = (
-            (lg[n + 1] + n * math.log(b))
-            + np.arange(j0, j1 + 1) * math.log(a / b)
-            - lg[j0 + 1 : j1 + 2]
-            - lg[n - j1 + 1 : n - j0 + 2][::-1]
-        )
+        log_t = np.add(self._j_ln_ratio[j0 : j1 + 1], lg[n + 1] + n * math.log(b))
+        log_t -= lg[j0 + 1 : j1 + 2]
+        log_t -= lg[n - j1 + 1 : n - j0 + 2][::-1]
         head = log_t[0] if upper else log_t[-1]  # the largest term
-        rel = np.exp(log_t - head).sum()
+        log_t -= head
+        rel = np.exp(log_t, out=log_t).sum()
         if upper:
             return float(head + math.log(rel))
         return math.log1p(-math.exp(head) * rel)

@@ -160,11 +160,14 @@ class TestLongInstances:
 
 class TestSearchBudget:
     def test_search_over_budget_is_refused(self, monkeypatch):
-        # the tables take 65.6 KiB; the search at beta=2000 is bounded at 40.9 MiB
+        # the tables take 65.6 KiB, inside the budget; the search at beta=2000 is not
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
         inst, _ = gen_uncorrelated(4, 200, 20, 1)
-        with pytest.raises(CapacityError, match="beta=2000, N=200, sigma=4"):
+        with pytest.raises(CapacityError, match="beta=2000, N=200, sigma=4") as refused:
             beam_search(inst, cfg(MINLEN, beta=2000))
+        # the refusal states the bound search_bytes puts on that search
+        need = search_bytes(2000, 200, 4, 20)
+        assert f": {need / 2**20:.1f} MiB needed," in str(refused.value)
         # a probe is checked at its own width
         assert beam_search(inst, cfg(MINLEN, beta=2000), width=5).verified
 

@@ -1,16 +1,19 @@
 """The one-array level against the per-symbol block loop it replaced.
 
-`ref_beam_search` is the former form of the engine's level: one table
-gather, one scorer call and one block per symbol, glued back together
-with `np.concatenate`, and ranked on the compacted cursors.  The engine
-now gathers the whole level at once, scores minlen and gcov on every
-(parent, symbol) slot of the gathered block and reads the rank's cursor
-rows from it; its children come out symbol-major, then by parent, which
-is the order of the concatenated blocks, so the stable rank breaks ties
-the same way.  The instances have strings of unequal length, in uint16
-or int32 tables.  The properties hold the engine to the reference, and
-every solution to the admissible bounds of the problem: a common
-subsequence no longer than the exact LCS or the root's occurrence bound.
+`ref_beam_search` (in `search_reference.py`) is the former form of the
+engine's level: one table gather, one scorer call and one block per
+symbol, glued back together with `np.concatenate`, and ranked by full
+sorts on the compacted cursors, with every copy of a cursor vector kept
+as its own row.  The engine gathers the whole level at once, scores
+minlen and gcov on every (parent, symbol) slot of the gathered block,
+reads the rank's cursor rows from it, and holds each distinct vector once
+with its count of copies; its children come out symbol-major, then by
+parent, which is the order of the concatenated blocks, so the stable rank
+breaks ties the same way.  The instances have strings of unequal length,
+in uint16 or int32 tables.  The properties hold the engine to the
+reference, and every solution to the admissible bounds of the problem: a
+common subsequence no longer than the exact LCS or the root's occurrence
+bound.
 """
 
 import string
@@ -20,98 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsbeam.engine import (
-    BeamConfig,
-    _merge_duplicates,
-    _rank,
-    _walk_arena,
-    beam_search,
-    occurrence_bounds,
-    verify_solution,
-)
-from lcsbeam.heuristics import (
-    HeuristicKind,
-    HeuristicSpec,
-    score_gcov_batch,
-    score_minlen_batch,
-    score_prob_batch,
-    select_k,
-)
+from lcsbeam.engine import BeamConfig, beam_search, occurrence_bounds, verify_solution
+from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
 from lcsbeam.instance import NodeState, build_instance
 from lcsbeam.oracle import exhaustive_lcs
-from lcsbeam.probability import get_kernel
+from search_reference import ref_beam_search
 
 ALPHABET = "ABCDEF"
-
-
-def ref_beam_search(instance, config):
-    """(solution, levels, nodes_expanded) from the per-symbol block loop."""
-    beta = config.beta
-    spec = config.heuristic
-    kernel = None
-    if spec.kind.uses_probability:
-        kernel = get_kernel(instance.sigma_size, instance.max_len)
-    gamma = spec.gamma(instance.n_strings)
-    n = instance.n_strings
-    sigma = instance.sigma_size
-    lengths = instance.lengths[None, :]
-    row_idx = np.arange(n)[None, :]
-    next_table = instance.next_table
-
-    beam = np.zeros((1, n), dtype=next_table.dtype)
-    arena = []
-    levels = 0
-    nodes_expanded = 0
-    while True:
-        blocks = []  # (symbol code, parent indices, child cursors)
-        for code in range(sigma):
-            nxt = next_table[row_idx, beam, code]  # (B, N)
-            feasible = (nxt != instance.no_occurrence).all(axis=1)
-            if feasible.any():
-                blocks.append((code, np.nonzero(feasible)[0], nxt[feasible] + 1))
-        if not blocks:
-            break
-
-        remainders = [lengths - cursors for _, _, cursors in blocks]
-        k = None
-        if spec.kind.uses_probability:
-            if spec.fixed_k is not None:
-                k = spec.fixed_k
-            else:
-                lo = min(int(r.min()) for r in remainders)
-                hi = max(int(r.max()) for r in remainders)
-                k = max(1, min(select_k(spec, lo, hi, sigma, n), lo))
-
-        scores = []
-        for (_, _, cursors), rem in zip(blocks, remainders):
-            if spec.kind is HeuristicKind.MINLEN:
-                scores.append(score_minlen_batch(rem))
-            elif spec.kind is HeuristicKind.GCOV:
-                counts = instance.suffix_table[row_idx, cursors]  # (B, N, sigma)
-                ubs = counts.min(axis=1).sum(axis=1)
-                scores.append(score_gcov_batch(rem, ubs, gamma))
-            else:
-                scores.append(score_prob_batch(
-                    rem, k, kernel,
-                    max(int(r.max()) for r in remainders), min(int(r.min()) for r in remainders),
-                ))
-
-        all_cursors = np.concatenate([b[2] for b in blocks])
-        all_parents = np.concatenate([b[1] for b in blocks])
-        all_codes = np.concatenate(
-            [np.full(len(b[1]), b[0], dtype=np.int16) for b in blocks]
-        )
-        all_scores = np.concatenate(scores)
-        nodes_expanded += len(all_scores)
-
-        if config.dominance_filter:
-            order = _merge_duplicates(all_scores, all_cursors, np.arange(len(all_scores)))[:beta]
-        else:
-            order = _rank(all_scores, all_cursors, beta, np.arange(len(all_scores)))
-        beam = all_cursors[order]
-        arena.append((all_parents[order], all_codes[order]))
-        levels += 1
-    return _walk_arena(instance, arena), levels, nodes_expanded
 
 
 def build_in(dtype, alphabet, strings):

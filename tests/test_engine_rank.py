@@ -1,10 +1,13 @@
-"""Top-beta ranking and duplicate merging against the full-sort reference.
+"""Top-beta ranking, copy counts and duplicate merging against full sorts.
 
-`ref_rank` and `ref_merge_duplicates` are the plain form of the engine's
-selection: a lexsort of every child on all cursor columns plus the
-score, and a merge that ranks, runs `np.unique(axis=0)` and ranks again.
-The engine partitions to the beta-th score and merges adjacent rows
-after one rank; these properties hold it to the same order.
+`ref_rank`, `ref_rank_copies` and `ref_survivors` (in
+`search_reference.py`) are the plain form of the engine's selection: a
+lexsort of every copy on all cursor columns plus the score, the runs of
+equal vectors among the first `top` copies, and a merge that ranks, runs
+`np.unique(axis=0)` and ranks again.  The engine partitions to the
+beta-th score, counts each vector's copies, and merges adjacent rows
+after one rank; these properties hold it to the same selection, and
+whole searches to the full-width `ref_beam_search`.
 """
 
 import numpy as np
@@ -17,30 +20,35 @@ from lcsbeam.datasets import gen_correlated, gen_uncorrelated
 from lcsbeam.engine import BeamConfig, _merge_duplicates, _rank, beam_search, hyper_heuristic
 from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
 from lcsbeam.instance import build_instance
-
-
-def ref_rank(scores: np.ndarray, cursors: np.ndarray) -> np.ndarray:
-    """Indices ordered by score descending, cursor vector lex ascending."""
-    keys = tuple(cursors[:, i] for i in range(cursors.shape[1] - 1, -1, -1))
-    return np.lexsort(keys + (-scores,))
-
-
-def ref_merge_duplicates(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Keep one child per distinct cursor vector, preferring the best score."""
-    order = ref_rank(scores, cursors)
-    _, first = np.unique(cursors[order], axis=0, return_index=True)
-    return np.sort(order[first])
-
-
-def ref_survivors(cursors: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """The reference merge's survivors, in the reference rank order."""
-    keep = ref_merge_duplicates(cursors, scores)
-    return keep[ref_rank(scores[keep], cursors[keep])]
+from search_reference import (
+    ref_beam_search,
+    ref_hyper_heuristic,
+    ref_rank,
+    ref_rank_copies,
+    ref_survivors,
+)
 
 
 def every_row(cursors: np.ndarray) -> np.ndarray:
     """The slots of children that are the rows of `cursors`, in order."""
     return np.arange(len(cursors))
+
+
+def ranked(result):
+    """`_rank`'s (rows, copies) with copies spelt out where it returns None."""
+    rows, copies = result
+    return rows, np.ones(len(rows), dtype=np.intp) if copies is None else copies
+
+
+def assert_ranked(result, want):
+    rows, copies = ranked(result)
+    assert np.array_equal(rows, want[0]) and np.array_equal(copies, want[1])
+
+
+def scores_by_vector(cursors, palette):
+    """Scores that a cursor vector fixes, as in the engine within a level."""
+    _, inverse = np.unique(cursors, axis=0, return_inverse=True)
+    return np.array(palette)[inverse.ravel() % len(palette)]
 
 
 # few values, so ties are common; 0.0 and -0.0 compare equal
@@ -79,24 +87,71 @@ def level_arrays(draw, values=CURSOR_VALUES, dtype=np.int32):
     return np.array(cells, dtype=dtype).reshape(rows, cols)
 
 
+ORDER_PATHS = (0, 10**9)  # rows-per-string thresholds: every order by lexsort, or by keys
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(level_arrays(), st.data())
 def test_rank_is_prefix_of_full_sort(cursors, data):
+    # one copy each and every vector distinct: the kept rows are the first
+    # `top` of the full sort, and no count is returned
+    distinct = np.unique(cursors, axis=0)
+    cursors = distinct[data.draw(st.permutations(range(len(distinct))))]
     scores = np.array(
         data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=len(cursors),
                            max_size=len(cursors)))
     )
     full = ref_rank(scores, cursors)
-    for top in range(1, len(cursors) + 3):
-        assert np.array_equal(_rank(scores, cursors, top, every_row(cursors)), full[:top])
+    with pytest.MonkeyPatch.context() as mp:
+        for threshold in ORDER_PATHS:
+            mp.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
+            for top in range(1, len(cursors) + 3):
+                rows, copies = _rank(scores, cursors, top, every_row(cursors))
+                assert np.array_equal(rows, full[:top]) and copies is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(level_arrays(), st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=8),
+       st.data())
+def test_rank_counts_the_copies_of_each_vector(cursors, palette, data):
+    scores = scores_by_vector(cursors, palette)
+    weights = None  # one copy a row
+    if data.draw(st.booleans(), label="weighted"):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        weights = np.random.default_rng(seed).integers(1, 5, size=len(cursors))
+    with pytest.MonkeyPatch.context() as mp:
+        # the first copy, a drawn cut, and the last copy and past it
+        total = len(cursors) if weights is None else int(weights.sum())
+        for top in {1, data.draw(st.integers(1, total), label="top"), total, total + 1}:
+            want = ref_rank_copies(scores, cursors, top, weights)
+            for threshold in ORDER_PATHS:
+                mp.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
+                assert_ranked(_rank(scores, cursors, top, every_row(cursors), weights), want)
+
+
+@pytest.mark.parametrize("threshold", ORDER_PATHS, ids=["lexsort", "keys"])
+def test_cut_inside_a_run_truncates_its_count(threshold, monkeypatch):
+    # rows 0 and 2 are one vector, scoring 2, from parents of 3 and 2 copies;
+    # row 1 is another, scoring 1, from a parent of 4 copies
+    monkeypatch.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
+    cursors = np.array([[5, 1], [0, 0], [5, 1]], dtype=np.uint16)
+    scores = np.array([2.0, 1.0, 2.0])
+    weights = np.array([3, 4, 2], dtype=np.intp)
+    for top, rows, copies in [(1, [0], [1]), (4, [0], [4]), (5, [0], [5]), (6, [0, 1], [5, 1]),
+                              (9, [0, 1], [5, 4]), (20, [0, 1], [5, 4])]:
+        got = _rank(scores, cursors, top, every_row(cursors), weights)
+        assert_ranked(got, (np.array(rows), np.array(copies)))
+    # one copy a row: a run counts its rows, and none is returned without a run
+    assert_ranked(_rank(scores, cursors, 3, every_row(cursors)), (np.array([0, 1]), np.array([2, 1])))
+    assert_ranked(_rank(scores, cursors, 2, every_row(cursors)), (np.array([0]), np.array([2])))
+    rows, copies = _rank(scores[:2], cursors[:2], 2, every_row(cursors[:2]))
+    assert np.array_equal(rows, [0, 1]) and copies is None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(level_arrays(), st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=8))
 def test_merge_matches_reference_survivors(cursors, palette):
-    # in the engine a cursor vector fixes its score within a level
-    _, inverse = np.unique(cursors, axis=0, return_inverse=True)
-    scores = np.array(palette)[inverse.ravel() % len(palette)]
+    scores = scores_by_vector(cursors, palette)
     assert np.array_equal(
         _merge_duplicates(scores, cursors, every_row(cursors)), ref_survivors(cursors, scores)
     )
@@ -110,41 +165,27 @@ def test_rank_and_merge_read_cursor_rows_by_slot(block, data):
     slots = np.array(data.draw(st.permutations(range(len(block)))))
     slots = slots[:data.draw(st.integers(1, len(block)))]
     children = block[slots]
-    _, inverse = np.unique(children, axis=0, return_inverse=True)
     palette = data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=8))
-    scores = np.array(palette)[inverse.ravel() % len(palette)]
+    scores = scores_by_vector(children, palette)
     rows = np.ascontiguousarray(block.T).T
-    full = ref_rank(scores, children)
     for top in range(1, len(slots) + 2):
-        assert np.array_equal(_rank(scores, rows, top, slots), full[:top])
+        assert_ranked(_rank(scores, rows, top, slots), ref_rank_copies(scores, children, top))
     assert np.array_equal(_merge_duplicates(scores, rows, slots), ref_survivors(children, scores))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(level_arrays(UINT16_VALUES, np.uint16), st.data())
 def test_uint16_cursors_rank_and_merge_as_int32(narrow, data):
-    rows = len(narrow)
     wide = narrow.astype(np.int32)
-    _, inverse = np.unique(wide, axis=0, return_inverse=True)
     palette = data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=8))
-    scores = np.array(palette)[inverse.ravel() % len(palette)]
-    full = ref_rank(scores, wide)
-    for top in range(1, rows + 2):
-        assert np.array_equal(_rank(scores, narrow, top, every_row(narrow)), full[:top])
-        assert np.array_equal(
-            _rank(scores, narrow, top, every_row(narrow)), _rank(scores, wide, top, every_row(wide))
-        )
+    scores = scores_by_vector(wide, palette)
+    for top in range(1, len(narrow) + 2):
+        got = ranked(_rank(scores, narrow, top, every_row(narrow)))
+        assert_ranked(got, ref_rank_copies(scores, wide, top))
+        assert_ranked(got, ranked(_rank(scores, wide, top, every_row(wide))))
     survivors = _merge_duplicates(scores, narrow, every_row(narrow))
     assert np.array_equal(survivors, ref_survivors(wide, scores))
     assert np.array_equal(survivors, _merge_duplicates(scores, wide, every_row(wide)))
-
-
-def _ref_rank_top(scores, cursors, top, slots):
-    return ref_rank(scores, cursors[slots])[:top]
-
-
-def _ref_survivors(scores, cursors, slots):
-    return ref_survivors(cursors[slots], scores)
 
 
 KINDS = [
@@ -169,13 +210,47 @@ def test_beam_search_matches_reference_selection(strings, kind, beta, merge):
         heuristic=HeuristicSpec(kind=kind), beta=beta, beta_h=1, dominance_filter=merge
     )
     new = beam_search(inst, config)
+    assert (new.solution, new.levels, new.nodes_expanded) == ref_beam_search(inst, config)
+
+
+@st.composite
+def duplicate_instances(draw):
+    """2-4 strings of at most 30 symbols over at most 3 letters: most
+    children of a level share their cursor vector with another child."""
+    alphabet = "ABC"[:draw(st.integers(1, 3))]
+    lengths = draw(st.lists(st.integers(1, 30), min_size=2, max_size=4))
+    return build_instance(alphabet, [
+        "".join(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)))
+        for n in lengths
+    ])
+
+
+HH = (HeuristicSpec(kind=HeuristicKind.PROB_K_ANALYTIC_CORR), HeuristicSpec(kind=HeuristicKind.GCOV))
+
+
+@pytest.mark.parametrize("merge", [False, True], ids=["plain", "merge"])
+@pytest.mark.parametrize("heuristic", KINDS + ["hh"],
+                         ids=lambda h: h if h == "hh" else h.value)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(inst=duplicate_instances(), beta=st.integers(20, 60), beta_h=st.integers(1, 20))
+def test_many_duplicates_match_the_full_width_reference(heuristic, merge, inst, beta, beta_h):
+    # the engine holds each vector once with its copies; the reference keeps
+    # every copy as a row of a beam up to beta wide
+    spec = HH[0] if heuristic == "hh" else HeuristicSpec(kind=heuristic)
+    config = BeamConfig(heuristic=spec, beta=beta, beta_h=beta_h, dominance_filter=merge)
+    if heuristic == "hh":
+        want, probes = ref_hyper_heuristic(inst, config, *HH)
+    else:
+        want, probes = ref_beam_search(inst, config), None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_rank", _ref_rank_top)
-        mp.setattr(engine, "_merge_duplicates", _ref_survivors)
-        ref = beam_search(inst, config)
-    assert (new.solution, new.levels, new.nodes_expanded) == (
-        ref.solution, ref.levels, ref.nodes_expanded
-    )
+        for threshold in ORDER_PATHS:
+            mp.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
+            if heuristic == "hh":
+                report = hyper_heuristic(inst, config, *HH)
+            else:
+                report = beam_search(inst, config)
+            assert (report.solution, report.levels, report.nodes_expanded) == want
+            assert report.probe_lengths == probes
 
 
 PATH_SPECS = {

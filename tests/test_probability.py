@@ -712,3 +712,88 @@ class TestKernelWindows:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
+
+
+def former_log_row(kernel, k, n_hi=None, n_lo=0):
+    """`ProbKernel.log_row` as it was before the j ln beta lookup: every call
+    formed its terms from `np.arange` temporaries.  Frozen as a reference."""
+    hi = kernel.n_max if n_hi is None else min(n_hi, kernel.n_max)
+    row = np.full(max(hi - n_lo + 1, 0), -np.inf)
+    first = max(k, n_lo)
+    if k == 0 or kernel.params.degenerate:
+        row[first - n_lo :] = 0.0
+    elif first <= hi:
+        lg = kernel._gammaln
+        terms = (
+            k * math.log(kernel.params.alpha)
+            + (np.arange(first, hi + 1) - k) * math.log(kernel.params.beta)
+            + (lg[first : hi + 1] - lg[k] - lg[first - k + 1 : hi - k + 2])
+        )
+        if n_lo > k:
+            terms[0] = former_log_tail(kernel, k, n_lo)
+        np.logaddexp.accumulate(terms, out=row[first - n_lo :])
+        np.minimum(row, 0.0, out=row)
+    return row
+
+
+def former_log_tail(kernel, k, n):
+    """`ProbKernel._log_tail` before the j ln(alpha / beta) lookup, frozen."""
+    a, b = kernel.params.alpha, kernel.params.beta
+    lg = kernel._gammaln
+    upper = k > n * a
+    if upper:
+        total, ratio = n - k + 1, (n - k) * a / ((k + 1) * b)
+    else:
+        total, ratio = k, (k - 1) * b / ((n - k + 2) * a)
+    count = total
+    if total > 1:
+        g, c = -math.log(ratio), 4 / (n + 2)
+        drop = 60 * math.log(2) + 10
+        steps = (math.sqrt((g - c / 2) ** 2 + 2 * c * drop) - (g - c / 2)) / c
+        count = min(total, math.ceil(steps) + 1)
+    j0, j1 = (k, k + count - 1) if upper else (k - count, k - 1)
+    log_t = (
+        (lg[n + 1] + n * math.log(b))
+        + np.arange(j0, j1 + 1) * math.log(a / b)
+        - lg[j0 + 1 : j1 + 2]
+        - lg[n - j1 + 1 : n - j0 + 2][::-1]
+    )
+    head = log_t[0] if upper else log_t[-1]
+    rel = np.exp(log_t - head).sum()
+    if upper:
+        return float(head + math.log(rel))
+    return math.log1p(-math.exp(head) * rel)
+
+
+class TestKernelLookups:
+    """Rows built from the kernel's j ln beta and j ln(alpha / beta) lookups
+    are bitwise the rows of the former build."""
+
+    @pytest.mark.parametrize("sigma", [2, 4, 20])
+    def test_windows_equal_the_former_build(self, sigma):
+        n_max = 3000
+        kernel = ProbKernel(sigma, n_max)
+        seen = set()
+        for k in (0, 1, 2, 7, 60, 400, 1499, 2999, 3000, 3001):
+            # below k, at k, just above, either side of the mean (the tail's
+            # two branches), far above, and at n_max
+            starts = {0, k - 1, k, k + 1, k * sigma - 1, k * sigma + 3, (k * sigma) // 2 + 1, n_max}
+            for n_lo in sorted(n for n in starts if 0 <= n <= n_max):
+                for n_hi in (n_lo, n_lo + 37, n_max, None):
+                    row = kernel.log_row(k, n_hi, n_lo)
+                    assert row.tobytes() == former_log_row(kernel, k, n_hi, n_lo).tobytes()
+                    if 0 < k < n_lo <= n_max:
+                        seen.add("upper tail" if k > n_lo / sigma else "lower tail")
+                    elif n_lo <= k <= n_max:
+                        seen.add("from k")
+        assert seen == {"upper tail", "lower tail", "from k"}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sigma=st.sampled_from([2, 4, 20]), n_max=st.integers(0, 10_000), data=st.data())
+    def test_drawn_windows_equal_the_former_build(self, sigma, n_max, data):
+        kernel = ProbKernel(sigma, n_max)
+        k = data.draw(st.integers(0, n_max + 1), label="k")
+        n_lo, n_hi = sorted(data.draw(st.tuples(st.integers(0, n_max), st.integers(0, n_max)),
+                                      label="window"))
+        assert (kernel.log_row(k, n_hi, n_lo).tobytes()
+                == former_log_row(kernel, k, n_hi, n_lo).tobytes())
