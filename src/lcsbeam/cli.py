@@ -33,6 +33,7 @@ from .datasets import (
     gen_uncorrelated,
     load_fasta,
     load_plain,
+    read_text,
 )
 from .engine import BeamConfig, RunReport, beam_search, hyper_heuristic
 from .heuristics import HeuristicKind, HeuristicSpec
@@ -163,10 +164,9 @@ def _search_kw(args) -> dict:
 def cmd_solve(args) -> int:
     inst, desc = _load_from_flags(args)
     if args.heuristic_config:
+        text = read_text(args.heuristic_config, "heuristic config ")
         try:
-            spec = HeuristicSpec.from_dict(json.loads(Path(args.heuristic_config).read_text()))
-        except OSError as exc:
-            raise DatasetError(f"cannot read heuristic config: {exc}")
+            spec = HeuristicSpec.from_dict(json.loads(text))
         except (KeyError, ValueError, TypeError) as exc:
             raise UsageError(f"bad heuristic config: {exc}")
         report = beam_search(inst, BeamConfig(heuristic=spec, **_search_kw(args)))
@@ -205,12 +205,8 @@ def cmd_solve(args) -> int:
 def parse_manifest(path) -> list[dict]:
     """Lines of `path family`, or `gen: kind key=value ...` for generators."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DatasetError(f"cannot read manifest {path}: {exc}")
     entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, "manifest ").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -230,13 +226,7 @@ def parse_manifest(path) -> list[dict]:
                     raise DatasetError(f"{path}:{line_no}: unknown generator key {key!r}")
                 kv[key] = val
             try:
-                entry = {
-                    "gen": kind,
-                    "sigma": int(kv["sigma"]),
-                    "n": int(kv["n"]),
-                    "len": int(kv["len"]),
-                    "seed": int(kv["seed"]),
-                }
+                entry = {"gen": kind, **{k: int(kv[k]) for k in ("sigma", "n", "len", "seed")}}
                 if kind == "corr":
                     entry["rate"] = float(kv.get("rate", 0.1))
             except KeyError as exc:
@@ -246,18 +236,13 @@ def parse_manifest(path) -> list[dict]:
             entries.append(entry)
         else:
             parts = line.split()
-            if len(parts) == 1:
-                file_part, family = parts[0], "unknown"
-            elif len(parts) == 2:
-                file_part, family = parts
-            else:
+            if len(parts) > 2:
                 raise DatasetError(f"{path}:{line_no}: expected 'path family', got {line!r}")
+            file_part, family = parts if len(parts) == 2 else (parts[0], "unknown")
             if family not in ("uncorr", "corr", "unknown"):
                 raise DatasetError(f"{path}:{line_no}: unknown family {family!r}")
-            file_path = Path(file_part)
-            if not file_path.is_absolute():
-                file_path = path.parent / file_path
-            entries.append({"path": file_path, "family": Family(family)})
+            # `/` keeps an absolute path and reads a relative one from the manifest's directory
+            entries.append({"path": path.parent / file_part, "family": Family(family)})
     return entries
 
 

@@ -9,6 +9,11 @@ On-disk container for string sets ("plain" format):
 FASTA input is supported for genome-style data, with an optional prefix
 truncation to match fixed-length benchmark protocols.
 
+Every file, the CLI's manifests and heuristic configs included, is read
+by `read_text` as UTF-8, and one that cannot be read or decoded is a
+DatasetError.  Every loader and generator returns through `_dataset`,
+which builds the instance and takes its descriptor's shape from it.
+
 Synthetic generators draw every symbol from SplitMix64, a fixed named
 64-bit generator, so instances are byte-identical for a given seed on
 every platform.  The uncorrelated family is i.i.d. uniform; the
@@ -17,7 +22,7 @@ correlated family mutates a common base string position-wise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -53,18 +58,33 @@ class DatasetDescriptor:
     n_strings: int
     lengths: tuple[int, ...]
     source: str
-    generator: dict | None = field(default=None)
+    generator: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "family": self.family.value,
-            "sigma_size": self.sigma_size,
-            "n_strings": self.n_strings,
-            "lengths": list(self.lengths),
-            "source": self.source,
-            "generator": self.generator,
-        }
+        return asdict(self) | {"family": self.family.value, "lengths": list(self.lengths)}
+
+
+def read_text(path, what: str = "") -> str:
+    """The UTF-8 text of `path`; a file that cannot be read or decoded is a DatasetError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read {what}{path}: {exc}")
+
+
+def _dataset(alphabet, strings, name, family, source, generator=None):
+    """The instance of `strings` and its descriptor, whose shape is the instance's.
+
+    An instance `build_instance` refuses is a DatasetError naming `source`.
+    """
+    try:
+        inst = build_instance(alphabet, strings)
+    except ValueError as exc:
+        raise DatasetError(f"{source}: {exc}")
+    return inst, DatasetDescriptor(
+        name=name, family=family, sigma_size=inst.sigma_size, n_strings=inst.n_strings,
+        lengths=tuple(inst.lengths.tolist()), source=source, generator=generator,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -75,11 +95,7 @@ class DatasetDescriptor:
 def load_plain(path, family: Family = Family.UNKNOWN):
     """Parse the plain container format; whitespace-tolerant."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(path, 1, "empty file")
     head = lines[0].split()
@@ -131,19 +147,7 @@ def load_plain(path, family: Family = Family.UNKNOWN):
         raise ParseError(
             path, line_no, f"header declares {n_strings} strings, found {len(strings)}"
         )
-    try:
-        inst = build_instance(alphabet, strings)
-    except ValueError as exc:
-        raise DatasetError(f"{path}: {exc}")
-    desc = DatasetDescriptor(
-        name=path.stem,
-        family=family,
-        sigma_size=sigma_size,
-        n_strings=n_strings,
-        lengths=tuple(len(s) for s in strings),
-        source=str(path),
-    )
-    return inst, desc
+    return _dataset(alphabet, strings, path.stem, family, str(path))
 
 
 def dump_plain(instance: Instance) -> str:
@@ -154,7 +158,7 @@ def dump_plain(instance: Instance) -> str:
 
 def save_plain(instance: Instance, path) -> None:
     """Write the canonical plain form (load/save round-trips bytewise)."""
-    Path(path).write_text(dump_plain(instance))
+    Path(path).write_text(dump_plain(instance), encoding="utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -173,15 +177,11 @@ def load_fasta(path, alphabet: str, truncate: int | None = None):
     if truncate is not None and truncate < 0:
         raise ValueError(f"truncate must be >= 0, got {truncate}")
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}")
     records: list[tuple[str, str]] = []
     header = None
     chunks: list[str] = []
     line_no = 0
-    for raw in text.splitlines():
+    for raw in read_text(path).splitlines():
         line_no += 1
         line = raw.strip()
         if not line:
@@ -212,20 +212,8 @@ def load_fasta(path, alphabet: str, truncate: int | None = None):
                 f"alphabet {alphabet!r}: {sorted(bad)}"
             )
         strings.append(seq)
-    try:
-        inst = build_instance(alphabet, strings)
-    except ValueError as exc:
-        raise DatasetError(f"{path}: {exc}")
-    desc = DatasetDescriptor(
-        name=path.stem,
-        family=Family.UNKNOWN,
-        sigma_size=len(alphabet),
-        n_strings=len(strings),
-        lengths=tuple(len(s) for s in strings),
-        source=str(path),
-        generator={"headers": [name for name, _ in records], "truncate": truncate},
-    )
-    return inst, desc
+    generator = {"headers": [name for name, _ in records], "truncate": truncate}
+    return _dataset(alphabet, strings, path.stem, Family.UNKNOWN, str(path), generator)
 
 
 # --------------------------------------------------------------------------
@@ -266,12 +254,34 @@ class SplitMix64:
         return (self.next_u64() >> 11) / float(1 << 53)
 
 
-def _alphabet_for(sigma_size: int) -> str:
+# the tag of each generator parameter in a generated instance's name
+_NAME_TAGS = {"sigma": "s", "n": "n", "len": "l", "rate": "r", "seed": "seed"}
+
+
+def _generator_alphabet(sigma_size: int, n_strings: int, length: int) -> str:
+    """The alphabet of a generated instance of this shape, checked before any draw.
+
+    ValueError for fewer than 2 strings, a negative length or an alphabet
+    size outside 1..62; CapacityError if the budget refuses its tables.
+    """
+    if n_strings < 2:
+        raise ValueError(f"need at least 2 strings, got {n_strings}")
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
     if not 1 <= sigma_size <= len(_LETTERS):
         raise ValueError(
             f"generated alphabets support 1..{len(_LETTERS)} symbols, got {sigma_size}"
         )
+    check_table_budget(n_strings, length, sigma_size)
     return _LETTERS[:sigma_size]
+
+
+def _generated(alphabet: str, strings: list[str], params: dict):
+    """`_dataset` of generated strings, named, sourced and described by `params`."""
+    tags = [_NAME_TAGS[key] + str(value) for key, value in params.items() if key != "kind"]
+    name = "-".join([params["kind"], *tags])
+    source = f"gen:seed={params['seed']}"
+    return _dataset(alphabet, strings, name, Family(params["kind"]), source, params)
 
 
 def gen_uncorrelated(sigma_size: int, n_strings: int, length: int, seed: int):
@@ -280,35 +290,14 @@ def gen_uncorrelated(sigma_size: int, n_strings: int, length: int, seed: int):
     An instance whose tables the budget refuses raises CapacityError
     before any symbol is drawn.
     """
-    if n_strings < 2:
-        raise ValueError(f"need at least 2 strings, got {n_strings}")
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    alphabet = _alphabet_for(sigma_size)
-    check_table_budget(n_strings, length, sigma_size)
+    alphabet = _generator_alphabet(sigma_size, n_strings, length)
     master = SplitMix64(seed)
     strings = []
     for _ in range(n_strings):
         rng = master.split()
         strings.append("".join(alphabet[rng.next_below(sigma_size)] for _ in range(length)))
-    inst = build_instance(alphabet, strings)
-    params = {
-        "kind": "uncorr",
-        "sigma": sigma_size,
-        "n": n_strings,
-        "len": length,
-        "seed": seed,
-    }
-    desc = DatasetDescriptor(
-        name=f"uncorr-s{sigma_size}-n{n_strings}-l{length}-seed{seed}",
-        family=Family.UNCORRELATED,
-        sigma_size=sigma_size,
-        n_strings=n_strings,
-        lengths=(length,) * n_strings,
-        source=f"gen:seed={seed}",
-        generator=params,
-    )
-    return inst, desc
+    params = {"kind": "uncorr", "sigma": sigma_size, "n": n_strings, "len": length, "seed": seed}
+    return _generated(alphabet, strings, params)
 
 
 def gen_correlated(
@@ -325,14 +314,9 @@ def gen_correlated(
     strings and rate 1 degenerates to the uncorrelated family.  The table
     budget is checked before any symbol is drawn, as in `gen_uncorrelated`.
     """
-    if n_strings < 2:
-        raise ValueError(f"need at least 2 strings, got {n_strings}")
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
     if not 0.0 <= mutation_rate <= 1.0:
         raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
-    alphabet = _alphabet_for(sigma_size)
-    check_table_budget(n_strings, length, sigma_size)
+    alphabet = _generator_alphabet(sigma_size, n_strings, length)
     master = SplitMix64(seed)
     base_rng = master.split()
     base = [base_rng.next_below(sigma_size) for _ in range(length)]
@@ -346,7 +330,6 @@ def gen_correlated(
                 code = rng.next_below(sigma_size)
             chars.append(alphabet[code])
         strings.append("".join(chars))
-    inst = build_instance(alphabet, strings)
     params = {
         "kind": "corr",
         "sigma": sigma_size,
@@ -355,13 +338,4 @@ def gen_correlated(
         "rate": mutation_rate,
         "seed": seed,
     }
-    desc = DatasetDescriptor(
-        name=f"corr-s{sigma_size}-n{n_strings}-l{length}-r{mutation_rate}-seed{seed}",
-        family=Family.CORRELATED,
-        sigma_size=sigma_size,
-        n_strings=n_strings,
-        lengths=(length,) * n_strings,
-        source=f"gen:seed={seed}",
-        generator=params,
-    )
-    return inst, desc
+    return _generated(alphabet, strings, params)

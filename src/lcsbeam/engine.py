@@ -353,16 +353,18 @@ def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     holds sigma - 1 (a = 2 while both are at most 256).  The beam holds
     its positions, intp gather index and intp copy counts, a probability
     score its kernel's three O(max_len) lookups and the row built from
-    them.  The arena keeps a bytes per kept vector for each of at most
-    max_len levels; the Python objects holding them (about 300 bytes a
-    level) are not counted.
+    them.  The arena keeps, for each of at most max_len levels, a bytes
+    per kept vector and 320 bytes of Python objects: the level's tuple,
+    its two array objects and its list slot, which tracemalloc measures at
+    280-290 bytes a level, and the walk's list of the solution's symbols.
+    A narrow search of long strings is mostly these objects.
     """
     w = table_dtype(max_len).itemsize
     a = np.min_scalar_type(width - 1).itemsize + np.min_scalar_type(sigma - 1).itemsize
     per_cell = 2 * w + max(w + 17, 3 * w + 1)
     per_slot = n_strings * per_cell + 154 + 2 * a + w * (ONE_GATHER_COUNTS + 2 * sigma)
     level = width * sigma * per_slot + width * (n_strings * (w + 8) + 8) + 48 * (max_len + 1)
-    return level + max_len * width * a
+    return level + max_len * (width * a + 320)
 
 
 def occurrence_bounds(

@@ -227,10 +227,11 @@ class TestSolve:
         assert err.startswith("capacity error: instance tables for N=10")
 
     def test_sixteen_bit_tables_fit_where_int32_tables_did_not(self, capsys, monkeypatch):
-        # sigma=20, N=2, len=2000: the uint16 tables take 0.3 MiB and fit a
-        # 0.5 MiB budget; as int32 they take 0.6 MiB and are refused
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.5")
-        argv = ("solve", "--gen", "uncorr", "--sigma", "20", "--n", "2", "--len", "2000",
+        # sigma=20, N=10, len=1000: the uint16 tables take 0.8 MiB and the
+        # search 0.4 MiB, so both fit a 1 MiB budget; as int32 the tables
+        # take 1.5 MiB and are refused
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
+        argv = ("solve", "--gen", "uncorr", "--sigma", "20", "--n", "10", "--len", "1000",
                 "--seed", "1", "--heuristic", "minlen", "--beta", "5")
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
@@ -239,8 +240,8 @@ class TestSolve:
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_DATASET
         assert err.startswith(
-            "capacity error: instance tables for N=2, max_len=2000, sigma=20: 0.6 MiB needed, "
-            "budget is 0.5 MiB"
+            "capacity error: instance tables for N=10, max_len=1000, sigma=20: 1.5 MiB needed, "
+            "budget is 1.0 MiB"
         )
 
     def test_search_over_budget_is_capacity_error(self, capsys, monkeypatch):
@@ -350,7 +351,8 @@ class TestSweep:
         assert averages == ["minlen"]
 
     def test_refused_instance_is_a_row(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.01")
+        # the n=2 entry's search (14.4 KiB) fits; the n=10 entry's tables (31.4 KiB) do not
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.02")
         manifest = tmp_path / "m.txt"
         manifest.write_text(BUDGET_MANIFEST)
         out_csv = tmp_path / "out.csv"
@@ -530,7 +532,8 @@ class TestTiming:
         assert "skipping kanalytic" in err
 
     def test_refused_instance_is_skipped(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.01")
+        # the n=2 entry's search (14.4 KiB) fits; the n=10 entry's tables (31.4 KiB) do not
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.02")
         manifest = tmp_path / "m.txt"
         manifest.write_text(BUDGET_MANIFEST)
         code, out, err = run_cli(

@@ -254,3 +254,43 @@ class TestGenerators:
             r"budget is 0\.3 MiB",
         ):
             generate()
+
+
+class TestDescriptors:
+    """Every entry point's `to_dict()`: name, family, shape, source and generator."""
+
+    def test_uncorrelated(self):
+        assert gen_uncorrelated(4, 2, 16, 1)[1].to_dict() == {
+            "name": "uncorr-s4-n2-l16-seed1", "family": "uncorr", "sigma_size": 4,
+            "n_strings": 2, "lengths": [16, 16], "source": "gen:seed=1",
+            "generator": {"kind": "uncorr", "sigma": 4, "n": 2, "len": 16, "seed": 1},
+        }
+
+    @pytest.mark.parametrize("rate,name", [
+        (0.0, "corr-s2-n3-l12-r0.0-seed7"),
+        (0.1, "corr-s2-n3-l12-r0.1-seed7"),
+        (1.0, "corr-s2-n3-l12-r1.0-seed7"),
+    ])
+    def test_correlated(self, rate, name):
+        assert gen_correlated(2, 3, 12, rate, 7)[1].to_dict() == {
+            "name": name, "family": "corr", "sigma_size": 2,
+            "n_strings": 3, "lengths": [12, 12, 12], "source": "gen:seed=7",
+            "generator": {"kind": "corr", "sigma": 2, "n": 3, "len": 12, "rate": rate, "seed": 7},
+        }
+
+    def test_plain(self, tmp_path):
+        path = tmp_path / "worked.txt"
+        path.write_text(WORKED_FILE)
+        assert load_plain(path)[1].to_dict() == {
+            "name": "worked", "family": "unknown", "sigma_size": 3, "n_strings": 2,
+            "lengths": [8, 8], "source": str(path), "generator": None,
+        }
+
+    def test_fasta_truncated(self, tmp_path):
+        path = tmp_path / "d.fa"
+        path.write_text(">x\nACGTACGTACGT\n>y\nGGGGCCCCAAAA\n")
+        assert load_fasta(path, "ACGT", truncate=4)[1].to_dict() == {
+            "name": "d", "family": "unknown", "sigma_size": 4, "n_strings": 2,
+            "lengths": [4, 4], "source": str(path),
+            "generator": {"headers": ["x", "y"], "truncate": 4},
+        }

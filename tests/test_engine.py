@@ -181,6 +181,10 @@ class TestSearchBudget:
             # many strings: the (child, string) cells dominate the bound
             (20, 200, 300, 40, False),
             (4, 200, 80, 40, True),
+            # one vector a level over thousands of levels: the arena's
+            # per-level Python objects dominate the bound
+            (2, 2, 5000, 1, False),
+            (2, 2, 5000, 1, True),
         ],
     )
     def test_bound_covers_traced_peak(self, spec, sigma, n, length, beta, merge):

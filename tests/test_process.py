@@ -68,3 +68,46 @@ def test_every_exported_name_resolves():
     missing = [name for name in lcsbeam.__all__ if not hasattr(lcsbeam, name)]
     assert missing == []
     assert len(set(lcsbeam.__all__)) == len(lcsbeam.__all__)
+
+
+# a plain file whose second string holds the byte 0xFF: not UTF-8
+UNDECODABLE = b"2 2\nAB\n2 AB\n2 A\xff\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input", "bad.txt", "--heuristic", "minlen"],
+        ["solve", "--input", "bad.txt", "--format", "fasta", "--heuristic", "minlen"],
+        ["oracle", "--input", "bad.txt"],
+        ["sweep", "--manifest", "bad.txt", "--heuristics", "minlen", "--out", "o.csv"],
+        ["solve", "--gen", "uncorr", "--sigma", "4", "--n", "2", "--len", "20", "--seed", "1",
+         "--heuristic-config", "bad.txt"],
+    ],
+    ids=["solve-plain", "solve-fasta", "oracle", "sweep-manifest", "heuristic-config"],
+)
+def test_undecodable_input_is_dataset_error(tmp_path, argv):
+    (tmp_path / "bad.txt").write_bytes(UNDECODABLE)
+    proc = run(tmp_path, *argv)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("dataset error: cannot read "), proc.stderr
+
+
+def test_undecodable_manifest_entry_is_partial_failure(tmp_path):
+    (tmp_path / "bad.txt").write_bytes(UNDECODABLE)
+    (tmp_path / "m.txt").write_text("bad.txt uncorr\n" + GOOD_ENTRY)
+    proc = run(tmp_path, "sweep", "--manifest", "m.txt", "--heuristics", "minlen",
+               "--out", "o.csv")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    rows = (tmp_path / "o.csv").read_text().splitlines()
+    assert sum(",error: cannot read " in row for row in rows) == 1
+    assert sum(row.endswith(",ok") for row in rows) == 2  # the good entry and the average
+
+    proc = run(tmp_path, "timing", "--manifest", "m.txt", "--heuristics", "minlen",
+               "--repeats", "1")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("warning: skipping entry: cannot read "), proc.stderr
+    assert [row.split(",")[1] for row in proc.stdout.splitlines()] == ["heuristic", "minlen"]
