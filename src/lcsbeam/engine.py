@@ -9,77 +9,30 @@ ties among them still break by cursor vector, lexicographically
 ascending.  The longest solution seen anywhere in the run is returned.
 
 A cursor vector fixes its score within a level (every heuristic reads
-only the remainders and, for gcov, the suffix counts at the cursors), so
-after a rank the copies of a vector sit next to each other.  With
-`dominance_filter`, children with equal cursor vectors are merged: the
-first of each run survives.  Without it, a beam of width beta keeps
+only the remainders and, for gcov, the suffix counts at the cursors).
+With `dominance_filter`, children with equal cursor vectors are merged:
+the first of each run survives.  Without it, a beam of width beta keeps
 every copy, and copies are common (on a long instance over 4 letters the
 200 nodes of a level hold 5 to 25 distinct vectors).  The search holds
 each distinct vector once, with a count of its copies (the root is one
 vector with one copy), so a level gathers, scores and ranks each
-distinct (parent, symbol) child once.  Its copies are its parent's,
-ranked as adjacent rows; each run of equal vectors among the ranked
-children is kept as its first row, the one from the lowest parent,
-counting the copies of all its rows, until the count reaches beta,
-where the last run's count is cut.  The arena keeps one (parent,
-symbol) per kept vector, and `nodes_expanded` counts every copy, so
-the search output is that of the beam that keeps every copy.
+distinct (parent, symbol) child once, and `nodes_expanded` counts every
+copy: the search output is that of the beam that keeps every copy.
 
 The wrapper trial-runs two heuristics at a reduced width and replays the
 winner (first one on ties) at full width.
 
-Internally a level is one set of numpy arrays, gathered from the
-next-occurrence table in one step and scored in one call.  The level is
-string-major: the beam is a C-contiguous (N, B) array of positions, each
-a cursor minus 1, and one `take` of whole rows from the table viewed as
-(N * (max_len + 1), sigma), at the positions plus each string's row
-offset plus 1, is the (N, B, sigma) block.  Its column parent * sigma +
-symbol, a slot, holds that child's positions (the sentinel where a
-string has no occurrence), so feasibility is a maximum over the block's
-leading axis, and the children are the feasible slots, listed
-symbol-major, then by parent (in slot order the stable sorts of the rank
-and the merge find shorter presorted runs and take longer).  The block
-and the remainders are written in place, level after level, into two
-buffers sized for the full width.  No column of the block is copied for
-scoring: minlen takes the minimum over the strings and gcov its moments
-and occurrence bound on every slot (gcov first clamps any sentinel to
-its string's last position, so every slot reads in-range suffix counts),
-and one 1-D `take` by slot keeps the children's scores.  A probability
-score copies the children's columns once, since its window and its k
-depend on their remainders only.  Cursor columns are otherwise gathered
-for the candidate rows the rank sorts, the merge's children and the kept
-beam.  The beam, the block, the remainders and a probability score's
-window index all keep the instance's table dtype (`uint16` for strings
-shorter than 65535, else `int32`): no arithmetic on them mixes in
-another integer dtype (only the gather indices are intp, and gcov's
-exact sums int64).  The scorers, `occurrence_bounds`, the rank and the
-merge receive transposed (slots, N) views, and numpy reduces over their
-strings at the leading-axis speed of the base.  The rank and the merge
-gather the (N, rows) cursor columns of the rows they order (positions
-sort as their cursors do).  With at least LEXSORT_ROWS_PER_STRING rows
-per string, as in a merge of few strings, the order is one `np.lexsort`
-of those columns under the negated scores, which radix-sorts 16-bit
-keys; with fewer, as in a rank of few strings or any sort of many, it is
-two stable sorts, first of the cursor vectors, each read as one string
-of big-endian bytes, then of the negated scores in that order.  The
-rank and the merge find runs of equal vectors by comparing the adjacent
-ranked byte-string keys, or after a lexsort the ranked columns one string
-at a time; the rank tests only its first beta rows, which hold every kept
-copy, and skips the copy arithmetic while every count is 1.  The gcov
-occurrence bound gathers every string's suffix counts in one step while
-a slot has at most ONE_GATHER_COUNTS of them and sums the least counts
-with the symbol axis leading, and is otherwise a running minimum over
-the strings, one (slots, sigma) block at a time; a probability score builds
-its p(k, .) row only over the window from the level's shortest to its
-longest remainder and sums it over blocks of strings.  The rank sort is
-stable, both ways: children equal in score and cursor vector share
-their last symbol, so among them the lower parent index ranks first, and
-the walk back from the first vector of the last level steps only on
-first copies.  Per-level parent/symbol arrays, in the smallest unsigned
-dtypes that hold beta - 1 and sigma - 1, form the arena that the final
-solution is reconstructed from.  An upper bound on all of this,
-`search_bytes`, is checked against the memory budget before the first
-level.
+A level is three phases on numpy arrays, each built once per search:
+`_expander` gathers the children, `_scorer` scores them under one
+heuristic kind and `_selector` keeps the best; their docstrings say how.
+The beam, the block and the remainders keep the instance's table dtype
+(`uint16` for strings shorter than 65535, else `int32`), and no
+arithmetic on them mixes in another integer dtype (only the gather
+indices are intp, and gcov's exact sums int64).  The scorers,
+`occurrence_bounds`, the rank and the merge receive transposed (slots, N)
+views, and numpy reduces over their strings at the leading-axis speed of
+the base.  `search_bytes`, an upper bound on the memory of all of this,
+is checked against the budget before the first level.
 """
 
 from __future__ import annotations
@@ -204,122 +157,162 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     if instance is None or instance.n_strings == 0:
         raise ValueError("beam search needs a non-empty instance")
     beta = config.beta if width is None else width
-    n = instance.n_strings
-    sigma = instance.sigma_size
+    n, sigma = instance.n_strings, instance.sigma_size
     need = search_bytes(beta, n, sigma, instance.max_len)
     check_budget(need, f"search for beta={beta}, N={n}, sigma={sigma}")
-    spec = config.heuristic
-    kind = spec.kind
-    # its O(max_len) lookup is built outside the timed section; the
-    # per-level rows are built inside it
-    kernel = get_kernel(sigma, instance.max_len) if kind.uses_probability else None
-    gamma = spec.gamma(n)
-
-    # each string's last position, L_i - 1, in the table dtype (65535 or -1
-    # for an empty string, whose search stops at the root: no slot is feasible)
-    last = (instance.lengths - 1)[:, None]
-    # string i's rows of the next table start at i * (max_len + 1) once it is
-    # flattened (a view), and a position p is read at row p + 1, its cursor;
-    # intp, so beam + offsets cannot overflow the table dtype
-    stride = instance.max_len + 1
-    offsets = np.arange(n, dtype=np.intp)[:, None] * stride + 1
-    flat_next = instance.next_table.reshape(n * stride, sigma)
-    # slot parent * sigma + symbol of a (B, sigma) block, its parent and its
-    # symbol, each in the smallest unsigned dtype that holds it: the arena
-    # keeps one parent and one symbol per kept child of every level
-    slot_of = np.arange(beta * sigma).reshape(beta, sigma)
-    parent_of = np.repeat(np.arange(beta, dtype=np.min_scalar_type(beta - 1)), sigma)
-    symbol_of = np.tile(np.arange(sigma, dtype=np.min_scalar_type(sigma - 1)), beta)
-
-    # one level's gathered block and its remainders, (N, B * sigma) cells
-    # each, are written in place level after level: a fresh array that size
-    # costs a page fault for every page it touches
-    block_cells = np.empty(n * beta * sigma, dtype=flat_next.dtype)
-    rem_cells = np.empty_like(block_cells)
+    expand = _expander(instance, beta)
+    score = _scorer(instance, config.heuristic, beta)
+    arena: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, symbol codes)
+    select = _selector(config.dominance_filter, beta, sigma, arena)
 
     t0 = time.perf_counter()
-    # string-major (N, B) positions, each its cursor - 1, so the next gather is
-    # at beam + offsets; the root's cursors are 0
+    # string-major (N, B) positions, each its cursor - 1: the root's cursors are 0
     beam = np.full((n, 1), -1, dtype=np.intp)
     # each beam vector's copies, intp, or None while every vector has one
     copies = None
-    arena: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, symbol codes)
-    levels = 0
     nodes_expanded = 0
-
     while True:
-        width = beam.shape[1] * sigma
-        # (N, B, sigma): string i's next positions for node b are one row.  A
-        # position is below max_len, so every row is in range, and "clip"
-        # only keeps `take` from buffering what it writes to `out`
-        block = flat_next.take(
-            beam + offsets, axis=0, mode="clip",
-            out=block_cells[:n * width].reshape(n, -1, sigma),
-        )
-        # the sentinel is the dtype's largest value: a slot is infeasible
-        # exactly when it is some string's largest entry
-        feasible = np.maximum.reduce(block, axis=0) != instance.no_occurrence  # (B, sigma)
-        # the children's slots, symbol-major, then by parent
-        slots = slot_of[:len(feasible)].T[feasible.T]
+        positions, slots = expand(beam)
         if len(slots) == 0:
             break
-        # (N, B * sigma): a slot's column holds its child's positions
-        positions = block.reshape(n, width)
-
-        if kernel is not None:
-            # a probability score: its k and window come from the children's
-            # remainders only, so they are copied out
-            remainders = positions.take(
-                slots, axis=1, mode="clip", out=rem_cells[:n * len(slots)].reshape(n, -1)
-            )  # (N, children)
-            np.subtract(last, remainders, out=remainders)
-            lo, hi = int(remainders.min()), int(remainders.max())
-            k = spec.fixed_k
-            if k is None:
-                k = select_k(spec, lo, hi, sigma, n)
-            scores = score_prob_batch(remainders.T, k, kernel, hi, lo)
-        else:
-            # scored per slot; an infeasible slot's score is never taken
-            remainders = rem_cells[:n * width].reshape(n, width)
-            if kind is HeuristicKind.MINLEN:
-                np.subtract(last, positions, out=remainders)
-                scores = score_minlen_batch(remainders.T)
-            else:
-                if len(slots) < width:
-                    # the sentinels become L_i - 1, so every slot reads in-range rows
-                    np.minimum(positions, last, out=positions)
-                np.subtract(last, positions, out=remainders)
-                ubs = occurrence_bounds(instance.suffix_table, positions.T, 1)
-                scores = score_gcov_batch(remainders.T, ubs, gamma)
-            scores = scores.take(slots)
-        # a child stands for as many copies as its parent
-        weights = None if copies is None else copies.take(parent_of.take(slots))
-        nodes_expanded += len(scores) if weights is None else int(weights.sum())
-
-        # a child's positions are its cursors minus 1: the same lexicographic order
-        if config.dominance_filter:
-            order = _merge_duplicates(scores, positions.T, slots)[:beta]
-        else:
-            order, copies = _rank(scores, positions.T, beta, slots, weights)
-        kept = slots[order]
+        scores = score(positions, slots)
+        kept, copies, children = select(scores, positions, slots, copies)
+        nodes_expanded += children
         beam = positions.take(kept, axis=1)
-        arena.append((parent_of.take(kept), symbol_of.take(kept)))
-        levels += 1
 
     wall = time.perf_counter() - t0
     solution = _walk_arena(instance, arena)
-    report = RunReport(
-        solution=solution,
-        length=len(solution),
-        levels=levels,
-        nodes_expanded=nodes_expanded,
-        wall_time=wall,
-        config=config.to_dict(),
-    )
+    report = RunReport(solution=solution, length=len(solution), levels=len(arena),
+                       nodes_expanded=nodes_expanded, wall_time=wall, config=config.to_dict())
     report.verified = verify_solution(instance, solution)
     if not report.verified:
         raise AssertionError("search produced an invalid solution (engine bug)")
     return report
+
+
+def _expander(instance: Instance, beta: int):
+    """The expand phase: the (N, B) beam positions to the level's (positions, slots).
+
+    The beam is a C-contiguous (N, B) array of positions, each a cursor
+    minus 1.  One `take` of whole rows from the next table viewed as
+    (N * (max_len + 1), sigma), at the positions plus each string's row
+    offset plus 1, is the (N, B, sigma) block, written in place into one
+    buffer sized for the full width, level after level (a fresh array
+    that size costs a page fault for every page it touches).  Its column
+    parent * sigma + symbol, a slot, holds that child's positions, or the
+    sentinel, the dtype's largest value, where a string has no
+    occurrence; so a slot is feasible exactly when no string holds its
+    largest entry, and the children are the feasible slots, listed
+    symbol-major, then by parent (in slot order the stable sorts of the
+    rank and the merge find shorter presorted runs and take longer).
+    Returns the block as (N, B * sigma) positions and the children's slots.
+    """
+    n, sigma = instance.n_strings, instance.sigma_size
+    # string i's rows start at i * (max_len + 1) of the flattened table (a view),
+    # and a position p is read at row p + 1, its cursor; intp, so beam + offsets
+    # cannot overflow the table dtype
+    stride = instance.max_len + 1
+    offsets = np.arange(n, dtype=np.intp)[:, None] * stride + 1
+    flat_next = instance.next_table.reshape(n * stride, sigma)
+    slot_of = np.arange(beta * sigma).reshape(beta, sigma)
+    block_cells = np.empty(n * beta * sigma, dtype=flat_next.dtype)
+
+    def expand(beam):
+        width = beam.shape[1] * sigma
+        # a position is below max_len, so every row is in range, and "clip"
+        # only keeps `take` from buffering what it writes to `out`
+        block = flat_next.take(beam + offsets, axis=0, mode="clip",
+                               out=block_cells[:n * width].reshape(n, -1, sigma))
+        feasible = np.maximum.reduce(block, axis=0) != instance.no_occurrence  # (B, sigma)
+        return block.reshape(n, width), slot_of[:len(feasible)].T[feasible.T]
+
+    return expand
+
+
+def _scorer(instance: Instance, spec: HeuristicSpec, beta: int):
+    """The score phase of `spec`'s kind: (positions, slots) to the children's scores.
+
+    The remainders, last position minus position, are written into one
+    buffer of the table dtype sized for the full width.  minlen and gcov
+    copy no column of the block: they score every slot (gcov first clamps,
+    in place, each sentinel to its string's last position, so that every
+    slot reads in-range suffix counts; only infeasible slots hold one, and
+    no later phase reads them), and one 1-D `take` by slot keeps the
+    children's scores.  A probability score copies the children's columns
+    once, since its k and its window depend on their remainders only: it
+    builds its p(k, .) row only over the window from the level's shortest
+    to its longest remainder, from the kernel's O(max_len) lookups, which
+    are built here, outside the timed search.
+    """
+    n, sigma = instance.n_strings, instance.sigma_size
+    # each string's last position, L_i - 1, in the table dtype (65535 or -1
+    # for an empty string, whose search stops at the root: no slot is feasible)
+    last = (instance.lengths - 1)[:, None]
+    rem_cells = np.empty(n * beta * sigma, dtype=instance.next_table.dtype)
+
+    if spec.kind.uses_probability:
+        kernel = get_kernel(sigma, instance.max_len)
+
+        def score(positions, slots):
+            remainders = positions.take(slots, axis=1, mode="clip",  # (N, children)
+                                        out=rem_cells[:n * len(slots)].reshape(n, -1))
+            np.subtract(last, remainders, out=remainders)
+            lo, hi = int(remainders.min()), int(remainders.max())
+            k = spec.fixed_k if spec.fixed_k is not None else select_k(spec, lo, hi, sigma, n)
+            return score_prob_batch(remainders.T, k, kernel, hi, lo)
+
+    elif spec.kind is HeuristicKind.MINLEN:
+        def score(positions, slots):
+            remainders = np.subtract(last, positions, out=rem_cells[:positions.size].reshape(n, -1))
+            return score_minlen_batch(remainders.T).take(slots)
+
+    else:
+        gamma = spec.gamma(n)
+
+        def score(positions, slots):
+            if len(slots) < positions.shape[1]:
+                np.minimum(positions, last, out=positions)
+            remainders = np.subtract(last, positions, out=rem_cells[:positions.size].reshape(n, -1))
+            ubs = occurrence_bounds(instance.suffix_table, positions.T, 1)
+            return score_gcov_batch(remainders.T, ubs, gamma).take(slots)
+
+    return score
+
+
+def _selector(merge: bool, beta: int, sigma: int, arena: list):
+    """The select phase: the scored children to the kept slots and their copies.
+
+    A child stands for as many copies as its parent.  Without `merge`,
+    `_rank` keeps the first `beta` copies, each run of equal vectors as
+    its first row, the one from the lowest parent (children equal in score
+    and cursor vector share their last symbol, and the sort is stable), so
+    the walk back from the first vector of the last level steps only on
+    first copies; with it, `_merge_duplicates` keeps one child per vector
+    and the first `beta` of those.  Either gathers the cursor columns of
+    only the rows it orders (positions sort as their cursors do).  Each
+    level appends its kept children's parents and symbols to `arena`, in
+    the smallest unsigned dtypes that hold beta - 1 and sigma - 1.
+    Returns the kept slots in rank order, their copy counts (None while
+    every count is 1) and the copies the level expanded.
+    """
+    parent_of = np.repeat(np.arange(beta, dtype=np.min_scalar_type(beta - 1)), sigma)
+    symbol_of = np.tile(np.arange(sigma, dtype=np.min_scalar_type(sigma - 1)), beta)
+
+    if merge:
+        def keep(scores, cursors, slots, weights):
+            return _merge_duplicates(scores, cursors, slots)[:beta], None
+    else:
+        def keep(scores, cursors, slots, weights):
+            return _rank(scores, cursors, beta, slots, weights)
+
+    def select(scores, positions, slots, copies):
+        weights = None if copies is None else copies.take(parent_of.take(slots))
+        order, copies = keep(scores, positions.T, slots, weights)
+        kept = slots[order]
+        arena.append((parent_of.take(kept), symbol_of.take(kept)))
+        return kept, copies, len(scores) if weights is None else int(weights.sum())
+
+    return select
 
 
 def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
@@ -342,29 +335,34 @@ def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     its slot; the rank's negated scores, their partition copy, the
     candidate rows, slots and scores; the key order, the scores gathered
     by it, their order and the composed order; gcov's moments are gone
-    before the rank starts) and the slot table, 50 + a bytes for the copy counts (each child's
-    copies and parent index; for each candidate the run test's two bool
-    vectors and five intp ones: the kept order, its weights, the run
-    starts, their weights and the running sums), a bytes in the parent and
-    symbol tables, and gcov's suffix counts: at most ONE_GATHER_COUNTS
-    w-byte counts gathered in one step, and two (slots, sigma) blocks.  A
-    kept vector takes a bytes in the arena: its parent in the smallest
-    unsigned dtype that holds width - 1 and its symbol in the one that
-    holds sigma - 1 (a = 2 while both are at most 256).  The beam holds
-    its positions, intp gather index and intp copy counts, a probability
-    score its kernel's three O(max_len) lookups and the row built from
-    them.  The arena keeps, for each of at most max_len levels, a bytes
-    per kept vector and 320 bytes of Python objects: the level's tuple,
-    its two array objects and its list slot, which tracemalloc measures at
-    280-290 bytes a level, and the walk's list of the solution's symbols.
-    A narrow search of long strings is mostly these objects.
+    before the rank starts) and the slot table, 50 + a bytes for the copy
+    counts (each child's copies and parent index; for each candidate the
+    run test's two bool vectors and five intp ones: the kept order, its
+    weights, the run starts, their weights and the running sums), a bytes
+    in the parent and symbol tables, and gcov's suffix counts: at most
+    ONE_GATHER_COUNTS w-byte counts gathered in one step, and two (slots,
+    sigma) blocks.  A kept vector takes a bytes in the arena: its parent
+    in the smallest unsigned dtype that holds width - 1 and its symbol in
+    the one that holds sigma - 1 (a = 2 while both are at most 256).  The
+    beam holds its positions, intp gather index and intp copy counts, a
+    probability score its kernel's three O(max_len) lookups and the row
+    built from them.  The arena keeps, for each of at most max_len levels,
+    a bytes per kept vector and 320 bytes of Python objects: the level's
+    tuple, its two array objects and its list slot, which tracemalloc
+    measures at 280-290 bytes a level, and the walk's list of the
+    solution's symbols.  A narrow search of long strings is mostly these
+    objects.  Every search also holds 16 KiB of fixed objects: the
+    phases' closures and array objects, a level's small arrays and the
+    report.  Over 2 880 tiny searches (N <= 6, len <= 40, width <= 12)
+    tracemalloc measured up to 8 KiB above the other terms after a warm-up
+    run and 11 KiB in a fresh process: a margin of 2x and 1.4x.
     """
     w = table_dtype(max_len).itemsize
     a = np.min_scalar_type(width - 1).itemsize + np.min_scalar_type(sigma - 1).itemsize
     per_cell = 2 * w + max(w + 17, 3 * w + 1)
     per_slot = n_strings * per_cell + 154 + 2 * a + w * (ONE_GATHER_COUNTS + 2 * sigma)
     level = width * sigma * per_slot + width * (n_strings * (w + 8) + 8) + 48 * (max_len + 1)
-    return level + max_len * (width * a + 320)
+    return level + max_len * (width * a + 320) + 16 * 1024
 
 
 def occurrence_bounds(

@@ -24,7 +24,7 @@ from lcsbeam.cli import (
     run_named_heuristic,
 )
 from lcsbeam.datasets import Family
-from lcsbeam.engine import BeamConfig, beam_search, verify_solution
+from lcsbeam.engine import BeamConfig, beam_search, search_bytes, verify_solution
 from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
 from lcsbeam.datasets import gen_uncorrelated
 from lcsbeam.probability import CapacityError
@@ -36,12 +36,31 @@ WORKED_FILE = "2 3\nABC\n8 BCABAABC\n8 CAACBBAA\n"
 REFUSED_ENTRY = "gen: uncorr sigma=7 n=2 len=23 seed=5\n"
 REFUSAL = "refused by the test"
 
-# Under a 0.01 MiB budget the first entry's instance tables fit (0.7 KiB)
-# and the second's (31.4 KiB) are refused before they are built.
+# Under `budget_between_entries()` the first entry's instance tables and its
+# beta=5 search fit, and the second's tables are refused before they are built.
 BUDGET_MANIFEST = (
     "gen: uncorr sigma=4 n=2 len=20 seed=1\n"
     "gen: uncorr sigma=4 n=10 len=200 seed=1\n"
 )
+
+
+def table_bytes(instance):
+    """What the two tables of a built instance take."""
+    return instance.next_table.nbytes + instance.suffix_table.nbytes
+
+
+def budget_mib(need):
+    """A LCSBEAM_TABLE_BUDGET_MB value of exactly `need` bytes."""
+    return repr(need / 2**20)
+
+
+def budget_between_entries():
+    """The budget that fits BUDGET_MANIFEST's first entry and not its second."""
+    fits, _ = gen_uncorrelated(4, 2, 20, 1)
+    refused, _ = gen_uncorrelated(4, 10, 200, 1)
+    need = max(table_bytes(fits), search_bytes(5, 2, 4, fits.max_len))
+    assert need < table_bytes(refused)
+    return budget_mib(need)
 
 
 def refuse_probability_solves(monkeypatch):
@@ -227,10 +246,15 @@ class TestSolve:
         assert err.startswith("capacity error: instance tables for N=10")
 
     def test_sixteen_bit_tables_fit_where_int32_tables_did_not(self, capsys, monkeypatch):
-        # sigma=20, N=10, len=1000: the uint16 tables take 0.8 MiB and the
-        # search 0.4 MiB, so both fit a 1 MiB budget; as int32 the tables
-        # take 1.5 MiB and are refused
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
+        # sigma=20, N=10, len=1000: a budget that holds the uint16 tables and
+        # the beta=5 search refuses the same tables as int32
+        uint16, _ = gen_uncorrelated(20, 10, 1000, 1)
+        with monkeypatch.context() as mp:
+            mp.setattr("lcsbeam.instance.table_dtype", lambda max_len: np.dtype(np.int32))
+            int32, _ = gen_uncorrelated(20, 10, 1000, 1)
+        need = max(table_bytes(uint16), search_bytes(5, 10, 20, uint16.max_len))
+        assert need < table_bytes(int32)
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget_mib(need))
         argv = ("solve", "--gen", "uncorr", "--sigma", "20", "--n", "10", "--len", "1000",
                 "--seed", "1", "--heuristic", "minlen", "--beta", "5")
         code, out, _ = run_cli(capsys, *argv)
@@ -240,8 +264,8 @@ class TestSolve:
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_DATASET
         assert err.startswith(
-            "capacity error: instance tables for N=10, max_len=1000, sigma=20: 1.5 MiB needed, "
-            "budget is 1.0 MiB"
+            "capacity error: instance tables for N=10, max_len=1000, sigma=20: "
+            f"{table_bytes(int32) / 2**20:.1f} MiB needed, budget is {need / 2**20:.1f} MiB"
         )
 
     def test_search_over_budget_is_capacity_error(self, capsys, monkeypatch):
@@ -351,8 +375,7 @@ class TestSweep:
         assert averages == ["minlen"]
 
     def test_refused_instance_is_a_row(self, capsys, tmp_path, monkeypatch):
-        # the n=2 entry's search (14.4 KiB) fits; the n=10 entry's tables (31.4 KiB) do not
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.02")
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget_between_entries())
         manifest = tmp_path / "m.txt"
         manifest.write_text(BUDGET_MANIFEST)
         out_csv = tmp_path / "out.csv"
@@ -532,8 +555,7 @@ class TestTiming:
         assert "skipping kanalytic" in err
 
     def test_refused_instance_is_skipped(self, capsys, tmp_path, monkeypatch):
-        # the n=2 entry's search (14.4 KiB) fits; the n=10 entry's tables (31.4 KiB) do not
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.02")
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget_between_entries())
         manifest = tmp_path / "m.txt"
         manifest.write_text(BUDGET_MANIFEST)
         code, out, err = run_cli(

@@ -1,10 +1,13 @@
 """Beam engine behavior: search results, determinism, tie policy,
 duplicate merging, and the two-heuristic wrapper."""
 
+import math
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsbeam import engine
 from lcsbeam.datasets import gen_correlated, gen_uncorrelated
@@ -185,6 +188,10 @@ class TestSearchBudget:
             # per-level Python objects dominate the bound
             (2, 2, 5000, 1, False),
             (2, 2, 5000, 1, True),
+            # tiny searches: the fixed objects of a search dominate the bound
+            (4, 2, 3, 5, False),
+            (2, 3, 10, 2, True),
+            (2, 2, 0, 3, False),
         ],
     )
     def test_bound_covers_traced_peak(self, spec, sigma, n, length, beta, merge):
@@ -198,6 +205,30 @@ class TestSearchBudget:
         finally:
             tracemalloc.stop()
         assert peak <= search_bytes(beta, n, sigma, inst.max_len)
+
+
+@st.composite
+def tiny_string_sets(draw):
+    """2-4 strings of 0-8 symbols over 1-3 letters."""
+    alphabet = "ABC"[:draw(st.integers(1, 3))]
+    return alphabet, draw(st.lists(st.text(alphabet, max_size=8), min_size=2, max_size=4))
+
+
+class TestExactness:
+    # with merging on and a width of at least the number of cursor vectors,
+    # prod(len_i + 1), no level prunes, so every search is exact
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tiny_string_sets())
+    def test_unpruned_search_is_exact(self, string_set):
+        alphabet, strings = string_set
+        inst = build_instance(alphabet, strings)
+        beta = math.prod(len(s) + 1 for s in strings)
+        want = exhaustive_lcs(strings)
+        for kind in HeuristicKind:
+            config = cfg(HeuristicSpec(kind=kind), beta=beta, dominance_filter=True)
+            assert beam_search(inst, config).length == want, kind
+        hh = hyper_heuristic(inst, cfg(UNCORR, beta=beta, dominance_filter=True), UNCORR, GCOV)
+        assert hh.length == want
 
 
 class TestArena:
