@@ -6,7 +6,12 @@ best `beta` of them.  Children are ranked by (score desc, cursor vector
 lex asc); the fixed tie policy makes runs reproducible across machines.
 Only the children scoring at or above the beta-th best score are sorted;
 ties among them still break by cursor vector, lexicographically
-ascending.  The longest solution seen anywhere in the run is returned.
+ascending.  Without merging, the probability and gcov scores are sorted
+alone first, and the cursor vectors decide only where two of those
+children tie in score with distinct vectors (on about 1 % of the levels
+of a long instance); minlen's whole-number scores tie that way on about
+half its levels, so minlen always sorts by the full key.  The longest
+solution seen anywhere in the run is returned.
 
 A cursor vector fixes its score within a level (every heuristic reads
 only the remainders and, for gcov, the suffix counts at the cursors).
@@ -163,7 +168,10 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     expand = _expander(instance, beta)
     score = _scorer(instance, config.heuristic, beta)
     arena: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, symbol codes)
-    select = _selector(config.dominance_filter, beta, sigma, arena)
+    # minlen's whole-number scores tie between distinct vectors on about
+    # half its levels, where a rank by score first is work thrown away
+    by_score = config.heuristic.kind is not HeuristicKind.MINLEN
+    select = _selector(config.dominance_filter, beta, sigma, arena, by_score)
 
     t0 = time.perf_counter()
     # string-major (N, B) positions, each its cursor - 1: the root's cursors are 0
@@ -279,7 +287,7 @@ def _scorer(instance: Instance, spec: HeuristicSpec, beta: int):
     return score
 
 
-def _selector(merge: bool, beta: int, sigma: int, arena: list):
+def _selector(merge: bool, beta: int, sigma: int, arena: list, by_score: bool):
     """The select phase: the scored children to the kept slots and their copies.
 
     A child stands for as many copies as its parent.  Without `merge`,
@@ -287,9 +295,10 @@ def _selector(merge: bool, beta: int, sigma: int, arena: list):
     its first row, the one from the lowest parent (children equal in score
     and cursor vector share their last symbol, and the sort is stable), so
     the walk back from the first vector of the last level steps only on
-    first copies; with it, `_merge_duplicates` keeps one child per vector
-    and the first `beta` of those.  Either gathers the cursor columns of
-    only the rows it orders (positions sort as their cursors do).  Each
+    first copies; it ranks by score first when `by_score`.  With `merge`,
+    `_merge_duplicates` keeps one child per vector and the first `beta` of
+    those.  Either gathers the cursor columns of only the rows it orders
+    or compares (positions sort as their cursors do).  Each
     level appends its kept children's parents and symbols to `arena`, in
     the smallest unsigned dtypes that hold beta - 1 and sigma - 1.
     Returns the kept slots in rank order, their copy counts (None while
@@ -303,7 +312,7 @@ def _selector(merge: bool, beta: int, sigma: int, arena: list):
             return _merge_duplicates(scores, cursors, slots)[:beta], None
     else:
         def keep(scores, cursors, slots, weights):
-            return _rank(scores, cursors, beta, slots, weights)
+            return _rank(scores, cursors, beta, slots, weights, by_score=by_score)
 
     def select(scores, positions, slots, copies):
         weights = None if copies is None else copies.take(parent_of.take(slots))
@@ -328,13 +337,17 @@ def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     score's window index and float64 gather, with its carried row at most
     w + 17 bytes a cell; gcov's intp row index or int64 squares, 8) and
     the rank's (the candidates' columns, their byte-string keys and the
-    ranked keys) or the merge's (the children's columns, their keys, the
-    ranked keys, or after a lexsort the ranked columns and their bool
-    comparison), at most 3w + 1.  Each slot adds 104 bytes in twelve
-    int64/float64 vectors (its score before and after the take by slot,
-    its slot; the rank's negated scores, their partition copy, the
-    candidate rows, slots and scores; the key order, the scores gathered
-    by it, their order and the composed order; gcov's moments are gone
+    ranked keys; or, ranking by score, the columns of both rows of each
+    tied pair and their bool comparison, which are freed before a
+    fallback to the key order) or the merge's (the children's columns,
+    their keys, the ranked keys, or after a lexsort the ranked columns
+    and their bool comparison), at most 3w + 1.  Each slot adds 120 bytes
+    in fourteen int64/float64 vectors (its score before and after the
+    take by slot, its slot; the rank's negated scores, their partition
+    copy, the candidate rows, slots and scores; then either the key
+    order, the scores gathered by it, their order and the composed order,
+    or the score order, the ranked scores, the tie indices and their
+    successors, the tied rows and their slots; gcov's moments are gone
     before the rank starts) and the slot table, 50 + a bytes for the copy
     counts (each child's copies and parent index; for each candidate the
     run test's two bool vectors and five intp ones: the kept order, its
@@ -360,7 +373,7 @@ def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     w = table_dtype(max_len).itemsize
     a = np.min_scalar_type(width - 1).itemsize + np.min_scalar_type(sigma - 1).itemsize
     per_cell = 2 * w + max(w + 17, 3 * w + 1)
-    per_slot = n_strings * per_cell + 154 + 2 * a + w * (ONE_GATHER_COUNTS + 2 * sigma)
+    per_slot = n_strings * per_cell + 170 + 2 * a + w * (ONE_GATHER_COUNTS + 2 * sigma)
     level = width * sigma * per_slot + width * (n_strings * (w + 8) + 8) + 48 * (max_len + 1)
     return level + max_len * (width * a + 320) + 16 * 1024
 
@@ -397,19 +410,23 @@ def _rank(
     top: int,
     slots: np.ndarray,
     weights: np.ndarray | None = None,
+    by_score: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The first `top` copies by score descending, cursor vector lex ascending.
 
     Child j's cursor vector is row `slots[j]` of `cursors`, and it stands
     for `weights[j]` >= 1 copies (one each when `weights` is None), which
     rank as adjacent rows.  Every child stands for at least one copy, so
-    only children scoring at or above the top-th best score can be among
-    the first `top` copies: only their rows are gathered and ordered by
-    `_order` (`top` >= the child count orders all), and at most the first
-    `top` of them are kept.  A cursor vector fixes its score, so the copies
-    of a vector are one run of adjacent rows.  Each run is kept as its
-    first row, counting its rows' weights, until the count reaches `top`;
-    the last run's count is cut to fit.
+    only children scoring at or above the top-th best score, the
+    candidates, can be among the first `top` copies (`top` >= the child
+    count keeps all), and at most the first `top` of them are kept.  With
+    `by_score`, `_by_score` orders the candidates by score alone, which is
+    their rank unless two of them tie in score with distinct vectors;
+    without it, or where they do, their rows are gathered and ordered by
+    `_order`.  A cursor vector fixes its score, so the copies of a vector
+    are one run of adjacent rows.  Each run is kept as its first row,
+    counting its rows' weights, until the count reaches `top`; the last
+    run's count is cut to fit.
 
     Returns (rows, copies): the kept children's indices in rank order and
     each one's count (intp), or None for the count when each is 1.
@@ -419,26 +436,71 @@ def _rank(
     if top < len(neg):
         cutoff = np.partition(neg, top - 1)[top - 1]
         # not `neg <= cutoff`: a NaN cutoff must keep every row, as the full sort would
-        rows = np.flatnonzero(~(neg > cutoff))
-        neg, slots = neg[rows], slots[rows]
-    columns = cursors.T.take(slots, axis=1)
-    order, keys = _order(neg, columns)
+        rows = (~(neg > cutoff)).nonzero()[0]
+        neg, slots = neg.take(rows), slots.take(rows)
+    ranked = _by_score(neg, cursors, slots) if by_score else None
+    if ranked is None:
+        columns = cursors.T.take(slots, axis=1)
+        order, keys = _order(neg, columns)
+        ranked = order, _run_heads(order[:top], columns, keys)
+    order, heads = ranked
     order = order[:top]
-    starts = np.flatnonzero(_run_heads(order, columns, keys))
     if rows is not None:
-        order = rows[order]
-    if weights is None:
-        # one copy a row: a run counts its rows
-        if len(starts) == len(order):
+        order = rows.take(order)
+    starts = None if heads is None else heads[:top].nonzero()[0]
+    if starts is None or len(starts) == len(order):
+        # every run is one row
+        if weights is None:
             return order, None
-        return order[starts], np.diff(starts, append=len(order))
-    counts = np.add.reduceat(weights.take(order), starts)
-    total = np.cumsum(counts)
+        counts = weights.take(order)
+    else:
+        if weights is None:
+            # one copy a row: a run counts its rows
+            return order.take(starts), np.diff(starts, append=len(order))
+        counts = np.add.reduceat(weights.take(order), starts)
+        order = order.take(starts)
+    total = np.add.accumulate(counts)
     # the runs up to the first whose running count reaches top
-    kept = min(int(np.searchsorted(total, top)) + 1, len(total))
+    kept = min(int(total.searchsorted(top)) + 1, len(total))
     counts = counts[:kept]
     counts[-1] -= max(int(total[kept - 1]) - top, 0)
-    return order[starts[:kept]], counts
+    return order[:kept], counts
+
+
+def _by_score(
+    neg_scores: np.ndarray, cursors: np.ndarray, slots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The stable order of the rows by score alone, where it is their full rank.
+
+    Rows whose scores all differ rank by score alone and hold distinct
+    vectors.  Where two adjacent ranked scores are equal, only those two
+    rows' cursor vectors (row `slots[j]` of `cursors`) are read: equal
+    vectors are a run, already in index order as `_order` would put them,
+    while distinct ones need the lexicographic tie-break.  A NaN equals
+    nothing, not even itself, so its ties cannot be seen.
+    Returns (order, heads), where heads marks the first row of each run
+    and is None when every run is one row, or None where ties need
+    `_order` (distinct vectors equal in score, or a NaN score).
+    """
+    order = neg_scores.argsort(kind="stable")
+    ranked = neg_scores.take(order)
+    if ranked[-1] != ranked[-1]:  # NaNs sort last
+        return None
+    tied = ranked[1:] == ranked[:-1]
+    ties = tied.nonzero()[0]
+    if len(ties) == 0:
+        return order, None
+    columns = cursors.T
+    rows = order.take(ties)
+    first = columns.take(slots.take(rows), axis=1)
+    second = columns.take(slots.take(order.take(ties + 1, out=rows)), axis=1)
+    if (first != second).any():
+        return None
+    # every tie is a pair of equal vectors: a run starts wherever the score changes
+    heads = np.empty(len(order), dtype=bool)
+    heads[0] = True
+    np.logical_not(tied, out=heads[1:])
+    return order, heads
 
 
 def _order(neg_scores: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

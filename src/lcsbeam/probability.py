@@ -544,7 +544,9 @@ class ProbKernel:
         if n_lo < 0 or (n_hi is not None and n_hi < n_lo):
             raise DomainError(f"need 0 <= n_lo <= n_hi, got n_lo={n_lo} n_hi={n_hi}")
         hi = self.n_max if n_hi is None else min(n_hi, self.n_max)
-        row = np.full(max(hi - n_lo + 1, 0), -np.inf)
+        size = max(hi - n_lo + 1, 0)
+        # a window from n_lo >= k on has no entry n < k, and every entry is written below
+        row = np.empty(size) if n_lo >= k else np.full(size, -np.inf)
         first = max(k, n_lo)
         if k == 0 or self.params.degenerate:
             # p(0, n) = 1; single-letter strings contain every shorter pattern

@@ -7,7 +7,9 @@ equal vectors among the first `top` copies, and a merge that ranks, runs
 `np.unique(axis=0)` and ranks again.  The engine partitions to the
 beta-th score, counts each vector's copies, and merges adjacent rows
 after one rank; these properties hold it to the same selection, and
-whole searches to the full-width `ref_beam_search`.
+whole searches to the full-width `ref_beam_search`.  The rank has two
+ways to order a level, by score first (`by_score`) and by the full key,
+and each property runs both, whatever the heuristic kind would choose.
 """
 
 import numpy as np
@@ -51,8 +53,9 @@ def scores_by_vector(cursors, palette):
     return np.array(palette)[inverse.ravel() % len(palette)]
 
 
-# few values, so ties are common; 0.0 and -0.0 compare equal
-SCORE_VALUES = [0.0, -0.0, 1.0, -1.5, 2.5, -np.inf]
+# few values, so ties are common; 0.0 and -0.0 compare equal, and a NaN
+# equals nothing but ranks after every number, as a full sort puts it
+SCORE_VALUES = [0.0, -0.0, 1.0, -1.5, 2.5, -np.inf, np.inf, np.nan]
 
 
 # few values, so duplicate rows are common; they differ in each byte of an
@@ -88,6 +91,34 @@ def level_arrays(draw, values=CURSOR_VALUES, dtype=np.int32):
 
 
 ORDER_PATHS = (0, 10**9)  # rows-per-string thresholds: every order by lexsort, or by keys
+BY_SCORE = (False, True)  # the rank's two ways: the full key, or by score first
+
+RANK = engine._rank
+
+
+def rank_paths(mp):
+    """Each way `_rank` can order a level: by score first or by the full
+    key, which orders (and a score-first rank falls back to) by lexsort
+    or by byte-string keys.  Yields the `by_score` argument."""
+    for threshold in ORDER_PATHS:
+        mp.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
+        yield from BY_SCORE
+
+
+def forced_rank(by_score):
+    """`_rank` ranking by score first, or never, whatever the heuristic kind."""
+    def rank(*args, **kwargs):
+        return RANK(*args, **{**kwargs, "by_score": by_score})
+    return rank
+
+
+def straddling_cuts(scores, cursors, weights=None):
+    """Each `top` that cuts between two copies of distinct vectors equal in score."""
+    rows = np.arange(len(scores)) if weights is None else np.repeat(np.arange(len(scores)), weights)
+    full = rows[ref_rank(scores[rows], cursors[rows])]
+    ranked, vectors = scores[full], cursors[full]
+    tied = (ranked[1:] == ranked[:-1]) & (vectors[1:] != vectors[:-1]).any(axis=1)
+    return tied.nonzero()[0] + 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -103,10 +134,9 @@ def test_rank_is_prefix_of_full_sort(cursors, data):
     )
     full = ref_rank(scores, cursors)
     with pytest.MonkeyPatch.context() as mp:
-        for threshold in ORDER_PATHS:
-            mp.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
+        for by_score in rank_paths(mp):
             for top in range(1, len(cursors) + 3):
-                rows, copies = _rank(scores, cursors, top, every_row(cursors))
+                rows, copies = _rank(scores, cursors, top, every_row(cursors), by_score=by_score)
                 assert np.array_equal(rows, full[:top]) and copies is None
 
 
@@ -120,13 +150,18 @@ def test_rank_counts_the_copies_of_each_vector(cursors, palette, data):
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         weights = np.random.default_rng(seed).integers(1, 5, size=len(cursors))
     with pytest.MonkeyPatch.context() as mp:
-        # the first copy, a drawn cut, and the last copy and past it
+        # the first copy, a drawn cut, the last copy and past it, and a cut
+        # between distinct vectors equal in score
         total = len(cursors) if weights is None else int(weights.sum())
-        for top in {1, data.draw(st.integers(1, total), label="top"), total, total + 1}:
+        tops = {1, data.draw(st.integers(1, total), label="top"), total, total + 1}
+        straddling = straddling_cuts(scores, cursors, weights)
+        if len(straddling):
+            tops.add(int(data.draw(st.sampled_from(straddling), label="straddling")))
+        for top in tops:
             want = ref_rank_copies(scores, cursors, top, weights)
-            for threshold in ORDER_PATHS:
-                mp.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
-                assert_ranked(_rank(scores, cursors, top, every_row(cursors), weights), want)
+            for by_score in rank_paths(mp):
+                got = _rank(scores, cursors, top, every_row(cursors), weights, by_score=by_score)
+                assert_ranked(got, want)
 
 
 @pytest.mark.parametrize("threshold", ORDER_PATHS, ids=["lexsort", "keys"])
@@ -137,15 +172,38 @@ def test_cut_inside_a_run_truncates_its_count(threshold, monkeypatch):
     cursors = np.array([[5, 1], [0, 0], [5, 1]], dtype=np.uint16)
     scores = np.array([2.0, 1.0, 2.0])
     weights = np.array([3, 4, 2], dtype=np.intp)
-    for top, rows, copies in [(1, [0], [1]), (4, [0], [4]), (5, [0], [5]), (6, [0, 1], [5, 1]),
-                              (9, [0, 1], [5, 4]), (20, [0, 1], [5, 4])]:
-        got = _rank(scores, cursors, top, every_row(cursors), weights)
-        assert_ranked(got, (np.array(rows), np.array(copies)))
-    # one copy a row: a run counts its rows, and none is returned without a run
-    assert_ranked(_rank(scores, cursors, 3, every_row(cursors)), (np.array([0, 1]), np.array([2, 1])))
-    assert_ranked(_rank(scores, cursors, 2, every_row(cursors)), (np.array([0]), np.array([2])))
-    rows, copies = _rank(scores[:2], cursors[:2], 2, every_row(cursors[:2]))
-    assert np.array_equal(rows, [0, 1]) and copies is None
+    rows_of = every_row(cursors)
+    for by_score in BY_SCORE:
+        for top, rows, copies in [(1, [0], [1]), (4, [0], [4]), (5, [0], [5]), (6, [0, 1], [5, 1]),
+                                  (9, [0, 1], [5, 4]), (20, [0, 1], [5, 4])]:
+            got = _rank(scores, cursors, top, rows_of, weights, by_score=by_score)
+            assert_ranked(got, (np.array(rows), np.array(copies)))
+        # one copy a row: a run counts its rows, and none is returned without a run
+        got = _rank(scores, cursors, 3, rows_of, by_score=by_score)
+        assert_ranked(got, (np.array([0, 1]), np.array([2, 1])))
+        got = _rank(scores, cursors, 2, rows_of, by_score=by_score)
+        assert_ranked(got, (np.array([0]), np.array([2])))
+        rows, copies = _rank(scores[:2], cursors[:2], 2, rows_of[:2], by_score=by_score)
+        assert np.array_equal(rows, [0, 1]) and copies is None
+
+
+@pytest.mark.parametrize("threshold", ORDER_PATHS, ids=["lexsort", "keys"])
+def test_a_tie_across_the_cut_breaks_by_vector(threshold, monkeypatch):
+    monkeypatch.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
+    for by_score in BY_SCORE:
+        # rows 0 and 1 tie in score with distinct vectors, and the cut falls
+        # between them: the lesser vector, row 1, is kept
+        cursors = np.array([[3, 1], [2, 9], [0, 0]], dtype=np.uint16)
+        scores = np.array([5.0, 5.0, 1.0])
+        assert_ranked(_rank(scores, cursors, 1, every_row(cursors), by_score=by_score),
+                      (np.array([1]), np.array([1])))
+        # rows 0 and 1 are one vector and row 2 a lesser one of their score: the
+        # two rows before the cut tie with equal vectors, and row 2 still goes first
+        cursors = np.array([[3, 1], [3, 1], [2, 9], [0, 0]], dtype=np.uint16)
+        scores = np.array([5.0, 5.0, 5.0, 1.0])
+        for top, rows, copies in [(1, [2], [1]), (2, [2, 0], [1, 1]), (3, [2, 0], [1, 2])]:
+            got = _rank(scores, cursors, top, every_row(cursors), by_score=by_score)
+            assert_ranked(got, (np.array(rows), np.array(copies)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -169,7 +227,9 @@ def test_rank_and_merge_read_cursor_rows_by_slot(block, data):
     scores = scores_by_vector(children, palette)
     rows = np.ascontiguousarray(block.T).T
     for top in range(1, len(slots) + 2):
-        assert_ranked(_rank(scores, rows, top, slots), ref_rank_copies(scores, children, top))
+        want = ref_rank_copies(scores, children, top)
+        for by_score in BY_SCORE:
+            assert_ranked(_rank(scores, rows, top, slots, by_score=by_score), want)
     assert np.array_equal(_merge_duplicates(scores, rows, slots), ref_survivors(children, scores))
 
 
@@ -180,9 +240,10 @@ def test_uint16_cursors_rank_and_merge_as_int32(narrow, data):
     palette = data.draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=8))
     scores = scores_by_vector(wide, palette)
     for top in range(1, len(narrow) + 2):
-        got = ranked(_rank(scores, narrow, top, every_row(narrow)))
-        assert_ranked(got, ref_rank_copies(scores, wide, top))
-        assert_ranked(got, ranked(_rank(scores, wide, top, every_row(wide))))
+        for by_score in BY_SCORE:
+            got = ranked(_rank(scores, narrow, top, every_row(narrow), by_score=by_score))
+            assert_ranked(got, ref_rank_copies(scores, wide, top))
+            assert_ranked(got, ranked(_rank(scores, wide, top, every_row(wide), by_score=by_score)))
     survivors = _merge_duplicates(scores, narrow, every_row(narrow))
     assert np.array_equal(survivors, ref_survivors(wide, scores))
     assert np.array_equal(survivors, _merge_duplicates(scores, wide, every_row(wide)))
@@ -243,8 +304,8 @@ def test_many_duplicates_match_the_full_width_reference(heuristic, merge, inst, 
     else:
         want, probes = ref_beam_search(inst, config), None
     with pytest.MonkeyPatch.context() as mp:
-        for threshold in ORDER_PATHS:
-            mp.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
+        for by_score in rank_paths(mp):
+            mp.setattr(engine, "_rank", forced_rank(by_score))
             if heuristic == "hh":
                 report = hyper_heuristic(inst, config, *HH)
             else:
@@ -266,7 +327,8 @@ PATH_SPECS = {
 @pytest.mark.parametrize("n", [10, 24])
 def test_search_is_the_same_on_both_order_paths(heuristic, merge, family, n, monkeypatch):
     # a rows-per-string threshold of 0 orders every level by lexsort, and one
-    # no level reaches orders every level by byte-string keys
+    # no level reaches orders every level by byte-string keys; either way each
+    # level is ranked by score first, or never, whatever the heuristic
     if family == "corr":
         inst, _ = gen_correlated(4, n, 150, 0.1, 5)
     else:
@@ -274,11 +336,29 @@ def test_search_is_the_same_on_both_order_paths(heuristic, merge, family, n, mon
     spec = PATH_SPECS["kanalytic-corr" if heuristic == "hh" else heuristic]
     config = BeamConfig(heuristic=spec, beta=60, beta_h=20, dominance_filter=merge)
     runs = []
-    for threshold in (0, 10**9):
-        monkeypatch.setattr(engine, "LEXSORT_ROWS_PER_STRING", threshold)
+    for by_score in rank_paths(monkeypatch):
+        monkeypatch.setattr(engine, "_rank", forced_rank(by_score))
         if heuristic == "hh":
             report = hyper_heuristic(inst, config, PATH_SPECS["kanalytic-corr"], PATH_SPECS["gcov"])
         else:
             report = beam_search(inst, config)
         runs.append((report.solution, report.levels, report.nodes_expanded))
-    assert runs[0] == runs[1]
+    assert runs[1:] == runs[:-1]
+
+
+def test_probability_and_gcov_levels_seldom_need_the_full_key(monkeypatch):
+    # on this instance the score-first rank falls back to `_order` on 3 of
+    # 109 kanalytic-uncorr levels, 6 of 107 kanalytic-corr ones and 11 of 106
+    # gcov ones; minlen takes the full key on every level
+    inst, _ = gen_uncorrelated(4, 10, 300, 1)
+    calls = []
+    order = engine._order
+    monkeypatch.setattr(engine, "_order", lambda *args: calls.append(1) or order(*args))
+    for kind in (HeuristicKind.MINLEN, HeuristicKind.PROB_K_ANALYTIC_UNCORR,
+                 HeuristicKind.PROB_K_ANALYTIC_CORR, HeuristicKind.GCOV):
+        calls.clear()
+        report = beam_search(inst, BeamConfig(heuristic=HeuristicSpec(kind=kind), beta=60))
+        if kind is HeuristicKind.MINLEN:
+            assert len(calls) == report.levels
+        else:
+            assert 4 * len(calls) <= report.levels, (kind, len(calls), report.levels)
