@@ -163,7 +163,7 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
         raise ValueError("beam search needs a non-empty instance")
     beta = config.beta if width is None else width
     n, sigma = instance.n_strings, instance.sigma_size
-    need = search_bytes(beta, n, sigma, instance.max_len)
+    need = search_bytes(beta, n, sigma, instance.max_len, instance.suffix_table[0, 0].nbytes)
     check_budget(need, f"search for beta={beta}, N={n}, sigma={sigma}")
     expand = _expander(instance, beta)
     score = _scorer(instance, config.heuristic, beta)
@@ -324,7 +324,9 @@ def _selector(merge: bool, beta: int, sigma: int, arena: list, by_score: bool):
     return select
 
 
-def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
+def search_bytes(
+    width: int, n_strings: int, sigma: int, max_len: int, count_row_bytes: int | None = None
+) -> int:
     """Upper bound on the array bytes a search at `width` holds at one time.
 
     A level has width * sigma slots, one per (parent, symbol), and every
@@ -353,13 +355,15 @@ def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     run test's two bool vectors and five intp ones: the kept order, its
     weights, the run starts, their weights and the running sums), a bytes
     in the parent and symbol tables, and gcov's suffix counts: at most
-    ONE_GATHER_COUNTS w-byte counts gathered in one step, and two (slots,
-    sigma) blocks.  A kept vector takes a bytes in the arena: its parent
-    in the smallest unsigned dtype that holds width - 1 and its symbol in
-    the one that holds sigma - 1 (a = 2 while both are at most 256).  The
-    beam holds its positions, intp gather index and intp copy counts, a
-    probability score its kernel's three O(max_len) lookups and the row
-    built from them.  The arena keeps, for each of at most max_len levels,
+    ONE_GATHER_COUNTS counts of at most w bytes gathered in one step, and
+    two blocks of one count row a slot, of `count_row_bytes` each: the
+    instance's padded row, `suffix_table[0, 0].nbytes`, or by default w *
+    sigma, the widest a row can be.  A kept vector takes a bytes in the
+    arena: its parent in the smallest unsigned dtype that holds width - 1
+    and its symbol in the one that holds sigma - 1 (a = 2 while both are
+    at most 256).  The beam holds its positions, intp gather index and
+    intp copy counts, a probability score its kernel's three O(max_len)
+    lookups and the row built from them.  The arena keeps, for each of at most max_len levels,
     a bytes per kept vector and 320 bytes of Python objects: the level's
     tuple, its two array objects and its list slot, which tracemalloc
     measures at 280-290 bytes a level, and the walk's list of the
@@ -371,9 +375,10 @@ def search_bytes(width: int, n_strings: int, sigma: int, max_len: int) -> int:
     run and 11 KiB in a fresh process: a margin of 2x and 1.4x.
     """
     w = table_dtype(max_len).itemsize
+    row = w * sigma if count_row_bytes is None else count_row_bytes
     a = np.min_scalar_type(width - 1).itemsize + np.min_scalar_type(sigma - 1).itemsize
     per_cell = 2 * w + max(w + 17, 3 * w + 1)
-    per_slot = n_strings * per_cell + 170 + 2 * a + w * (ONE_GATHER_COUNTS + 2 * sigma)
+    per_slot = n_strings * per_cell + 170 + 2 * a + w * ONE_GATHER_COUNTS + 2 * row
     level = width * sigma * per_slot + width * (n_strings * (w + 8) + 8) + 48 * (max_len + 1)
     return level + max_len * (width * a + 320) + 16 * 1024
 
@@ -383,20 +388,25 @@ def occurrence_bounds(
 ) -> np.ndarray:
     """`Instance.upper_bound` of every row of the (rows, N) cursor matrix `cursors + shift`.
 
-    Sum over symbols of the least suffix count over the strings.  While a
-    row has at most ONE_GATHER_COUNTS counts (N * sigma), every string's
-    are gathered in one step and reduced, and the least counts are summed
-    with the symbol axis leading (a sum along a short last axis is slow);
-    otherwise they are a running minimum string by string, so the only
-    temporaries are two (rows, sigma) blocks.
+    Sum over symbols of the least suffix count over the strings.  Each
+    string's counts at a cursor are one row of `suffix_table`, which the
+    `take`s here copy whole; in a uint8 table a row is padded with zero
+    columns to a width that numpy copies with a typed loop (see
+    `instance.FAST_TAKE_BYTES`), and a zero column adds nothing to a sum
+    of minima.  While a row has at most ONE_GATHER_COUNTS counts (N times
+    the padded width), every string's are gathered in one step and
+    reduced, and the least counts are summed with the symbol axis leading
+    (a sum along a short last axis is slow); otherwise they are a running
+    minimum string by string, so the only temporaries are two blocks of
+    one count row per row of `cursors`.
     """
-    n, stride, sigma = suffix_table.shape
-    if n * sigma <= ONE_GATHER_COUNTS:
+    n, stride, cols = suffix_table.shape
+    if n * cols <= ONE_GATHER_COUNTS:
         # string i's row for cursor c is row i * stride + c of the flat table
         rows = np.add(cursors.T, np.arange(shift, n * stride + shift, stride)[:, None],
                       dtype=np.intp)
-        counts = suffix_table.reshape(n * stride, sigma).take(rows, axis=0)
-        least = np.ascontiguousarray(np.minimum.reduce(counts, axis=0).T)  # (sigma, rows)
+        counts = suffix_table.reshape(n * stride, cols).take(rows, axis=0)
+        least = np.ascontiguousarray(np.minimum.reduce(counts, axis=0).T)  # (cols, rows)
         return np.add.reduce(least, axis=0, dtype=np.intp)
     least = suffix_table[0, shift:].take(cursors[:, 0], axis=0)
     for i in range(1, n):

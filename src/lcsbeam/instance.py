@@ -6,14 +6,20 @@ lookup tables per string:
 - next occurrence: first index >= pos holding a given symbol
 - suffix count:    occurrences of a given symbol in the suffix from pos
 
-Both tables, the string lengths and every cursor of the search share one
-dtype, ``table_dtype(max_len)``: ``uint16`` while every position, count
-and advanced cursor (at most max_len) stays below the 16-bit sentinel,
-``int32`` for longer strings.  The sentinel for "no occurrence" is the
-dtype's largest value, ``Instance.no_occurrence``.  Both tables are
-checked against the memory budget of ``probability.check_budget`` before
-they are allocated, by ``check_table_budget``, which the generators also
-call before they draw a symbol.
+The next-occurrence table, the string lengths and every cursor of the
+search share one dtype, ``table_dtype(max_len)``: ``uint16`` while every
+position and advanced cursor (at most max_len) stays below the 16-bit
+sentinel, ``int32`` for longer strings.  The sentinel for "no occurrence"
+is the dtype's largest value, ``Instance.no_occurrence``.  The suffix
+counts are ``uint8`` when no symbol occurs more than 255 times in any
+string, and then, for an alphabet of at most FAST_TAKE_BYTES symbols,
+each row is padded with zero columns to the next of 1, 2, 4, 8, 16 or 32
+bytes; any other count table has the table dtype and sigma columns.
+Both tables are checked against the memory budget of
+``probability.check_budget`` before they are allocated, by
+``check_table_budget``, which the generators also call before they draw
+a symbol; it charges both tables at the table dtype's width, which bounds
+the count table in either layout.
 
 Search nodes are cursor vectors (one index per string) plus a parent
 chain; the remainder strings are implicit.  Symbols are mapped to small
@@ -27,6 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import check_budget
+
+# numpy's `take` copies rows of 1, 2, 4, 8, 16 or 32 bytes with typed
+# loops and rows of any other width with memmove, at about twice the cost
+# (a 40-byte row of 20 uint16 counts); a uint8 count row of up to this
+# many symbols is padded with zero columns to the next of those widths
+FAST_TAKE_BYTES = 32
 
 
 def table_dtype(max_len: int) -> np.dtype:
@@ -102,9 +114,17 @@ class Instance:
     def _build_tables(self, codes: list[np.ndarray], dtype: np.dtype):
         n, sigma, width = self.n_strings, self.sigma_size, self.max_len + 1
         check_table_budget(n, self.max_len, sigma)
+        # each string's symbol totals, its counts at position 0
+        tallies = [np.bincount(string_codes, minlength=sigma) for string_codes in codes]
+        count_dtype, count_cols = dtype, sigma
+        if max(int(totals.max()) for totals in tallies) <= np.iinfo(np.uint8).max:
+            count_dtype = np.dtype(np.uint8)
+            if sigma <= FAST_TAKE_BYTES:
+                count_cols = 1 << (sigma - 1).bit_length()
         nxt = np.full((n, width, sigma), self.no_occurrence, dtype=dtype)
-        cnt = np.zeros((n, width, sigma), dtype=dtype)
-        for i, string_codes in enumerate(codes):
+        # the padding columns stay 0, which changes no minimum and no sum
+        cnt = np.zeros((n, width, count_cols), dtype=count_dtype)
+        for i, (string_codes, totals) in enumerate(zip(codes, tallies)):
             length = len(string_codes)
             rows = slice(0, length + 1)  # rows past the string keep the sentinel and 0
             # `slots` lists the string's positions symbol by symbol, each
@@ -112,20 +132,19 @@ class Instance:
             # idx[0, c].  Row p + 1 of `idx` adds 1 at the symbol of position
             # p, so after the running sum idx[p, c] is the slot of c's next
             # occurrence at or after p, and idx[length, c] is c's sentinel slot.
-            totals = np.bincount(string_codes, minlength=sigma)
             idx = np.zeros((length + 1, sigma), dtype=np.int32)
             np.cumsum(totals[:-1] + 1, out=idx[0, 1:])
             own = np.arange(sigma, (length + 1) * sigma, sigma) + string_codes
             idx.reshape(-1)[own] = 1
             np.cumsum(idx, axis=0, dtype=np.int32, out=idx)
-            np.subtract(idx[length], idx, out=cnt[i, rows], casting="unsafe")
+            np.subtract(idx[length], idx, out=cnt[i, rows, :sigma], casting="unsafe")
             slots = np.full(length + sigma, self.no_occurrence, dtype=dtype)
             slots[idx.reshape(-1)[own - sigma]] = np.arange(length, dtype=dtype)
             np.take(slots, idx, out=nxt[i, rows], mode="clip")
         nxt.setflags(write=False)
         cnt.setflags(write=False)
         self.next_table = nxt       # [i, pos, code] -> index or no_occurrence
-        self.suffix_table = cnt     # [i, pos, code] -> count in suffix
+        self.suffix_table = cnt     # [i, pos, code] -> count in suffix (0 past sigma)
 
     # -- scalar API ---------------------------------------------------------
 
@@ -172,7 +191,7 @@ class Instance:
         Admissible bound on how much common subsequence can still be built.
         """
         idx = np.arange(self.n_strings)
-        counts = self.suffix_table[idx, np.asarray(state.cursors)]  # (N, sigma)
+        counts = self.suffix_table[idx, np.asarray(state.cursors)]  # (N, padded sigma)
         return int(counts.min(axis=0).sum())
 
     def stats(self, state: NodeState) -> tuple[float, float]:
@@ -184,10 +203,22 @@ class Instance:
         return mean, var
 
 
+def table_budget_bytes(n_strings: int, max_len: int, sigma_size: int) -> int:
+    """The bytes `check_table_budget` charges for the two tables of such an instance.
+
+    Both tables at sigma cells of the table dtype a row, which is what the
+    next table takes and at least what the count table takes: a padded
+    uint8 row of sigma <= FAST_TAKE_BYTES counts is narrower than 2 * sigma
+    bytes.  It reads only the shape, so a generator can check it before it
+    draws a symbol.
+    """
+    return 2 * n_strings * (max_len + 1) * sigma_size * table_dtype(max_len).itemsize
+
+
 def check_table_budget(n_strings: int, max_len: int, sigma_size: int) -> None:
     """CapacityError if the two tables of such an instance exceed the budget."""
     check_budget(
-        2 * n_strings * (max_len + 1) * sigma_size * table_dtype(max_len).itemsize,
+        table_budget_bytes(n_strings, max_len, sigma_size),
         f"instance tables for N={n_strings}, max_len={max_len}, sigma={sigma_size}",
     )
 

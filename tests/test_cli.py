@@ -27,6 +27,7 @@ from lcsbeam.datasets import Family
 from lcsbeam.engine import BeamConfig, beam_search, search_bytes, verify_solution
 from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
 from lcsbeam.datasets import gen_uncorrelated
+from lcsbeam.instance import table_budget_bytes
 from lcsbeam.probability import CapacityError
 
 WORKED_FILE = "2 3\nABC\n8 BCABAABC\n8 CAACBBAA\n"
@@ -44,9 +45,15 @@ BUDGET_MANIFEST = (
 )
 
 
-def table_bytes(instance):
-    """What the two tables of a built instance take."""
-    return instance.next_table.nbytes + instance.suffix_table.nbytes
+def table_charge(instance):
+    """What the budget check charges for the two tables of an instance of this shape."""
+    return table_budget_bytes(instance.n_strings, instance.max_len, instance.sigma_size)
+
+
+def search_charge(instance, beta):
+    """What the budget check charges for a search of `instance` at `beta`."""
+    return search_bytes(beta, instance.n_strings, instance.sigma_size, instance.max_len,
+                        instance.suffix_table[0, 0].nbytes)
 
 
 def budget_mib(need):
@@ -58,8 +65,8 @@ def budget_between_entries():
     """The budget that fits BUDGET_MANIFEST's first entry and not its second."""
     fits, _ = gen_uncorrelated(4, 2, 20, 1)
     refused, _ = gen_uncorrelated(4, 10, 200, 1)
-    need = max(table_bytes(fits), search_bytes(5, 2, 4, fits.max_len))
-    assert need < table_bytes(refused)
+    need = max(table_charge(fits), search_charge(fits, 5))
+    assert need < table_charge(refused)
     return budget_mib(need)
 
 
@@ -246,14 +253,14 @@ class TestSolve:
         assert err.startswith("capacity error: instance tables for N=10")
 
     def test_sixteen_bit_tables_fit_where_int32_tables_did_not(self, capsys, monkeypatch):
-        # sigma=20, N=10, len=1000: a budget that holds the uint16 tables and
-        # the beta=5 search refuses the same tables as int32
+        # sigma=20, N=10, len=1000: a budget that holds the charge for uint16
+        # tables and the beta=5 search refuses the charge for int32 tables
         uint16, _ = gen_uncorrelated(20, 10, 1000, 1)
         with monkeypatch.context() as mp:
             mp.setattr("lcsbeam.instance.table_dtype", lambda max_len: np.dtype(np.int32))
-            int32, _ = gen_uncorrelated(20, 10, 1000, 1)
-        need = max(table_bytes(uint16), search_bytes(5, 10, 20, uint16.max_len))
-        assert need < table_bytes(int32)
+            int32 = table_charge(uint16)
+        need = max(table_charge(uint16), search_charge(uint16, 5))
+        assert need < int32
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget_mib(need))
         argv = ("solve", "--gen", "uncorr", "--sigma", "20", "--n", "10", "--len", "1000",
                 "--seed", "1", "--heuristic", "minlen", "--beta", "5")
@@ -265,7 +272,7 @@ class TestSolve:
         assert code == EXIT_DATASET
         assert err.startswith(
             "capacity error: instance tables for N=10, max_len=1000, sigma=20: "
-            f"{table_bytes(int32) / 2**20:.1f} MiB needed, budget is {need / 2**20:.1f} MiB"
+            f"{int32 / 2**20:.1f} MiB needed, budget is {need / 2**20:.1f} MiB"
         )
 
     def test_search_over_budget_is_capacity_error(self, capsys, monkeypatch):

@@ -168,8 +168,9 @@ class TestSearchBudget:
         inst, _ = gen_uncorrelated(4, 200, 20, 1)
         with pytest.raises(CapacityError, match="beta=2000, N=200, sigma=4") as refused:
             beam_search(inst, cfg(MINLEN, beta=2000))
-        # the refusal states the bound search_bytes puts on that search
-        need = search_bytes(2000, 200, 4, 20)
+        # the refusal states the bound search_bytes puts on that search, with
+        # the instance's count rows (4 padded uint8 counts)
+        need = search_bytes(2000, 200, 4, 20, inst.suffix_table[0, 0].nbytes)
         assert f": {need / 2**20:.1f} MiB needed," in str(refused.value)
         # a probe is checked at its own width
         assert beam_search(inst, cfg(MINLEN, beta=2000), width=5).verified
@@ -205,6 +206,23 @@ class TestSearchBudget:
         finally:
             tracemalloc.stop()
         assert peak <= search_bytes(beta, n, sigma, inst.max_len)
+
+    @pytest.mark.parametrize("sigma,n,length,beta", [(26, 2, 60, 100), (20, 200, 300, 40),
+                                                     (3, 20, 80, 40)])
+    def test_padded_count_rows_bound_the_gcov_peak(self, sigma, n, length, beta):
+        # the bound a search checks reads the instance's count rows: uint8
+        # counts padded to 32, 32 and 4 bytes for these alphabets
+        inst, _ = gen_uncorrelated(sigma, n, length, 3)
+        row = inst.suffix_table[0, 0]
+        assert (row.dtype.itemsize, row.nbytes) == (1, 1 << (sigma - 1).bit_length())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            beam_search(inst, cfg(GCOV, beta=beta))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= search_bytes(beta, n, sigma, inst.max_len, row.nbytes)
 
 
 @st.composite

@@ -16,6 +16,7 @@ common subsequence no longer than the exact LCS or the root's occurrence
 bound.
 """
 
+import random
 import string
 
 import numpy as np
@@ -23,7 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsbeam.engine import BeamConfig, beam_search, occurrence_bounds, verify_solution
+from lcsbeam.engine import (
+    ONE_GATHER_COUNTS,
+    BeamConfig,
+    beam_search,
+    occurrence_bounds,
+    verify_solution,
+)
 from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
 from lcsbeam.instance import NodeState, build_instance
 from lcsbeam.oracle import exhaustive_lcs
@@ -128,7 +135,33 @@ def test_occurrence_bounds_read_positions_with_a_shift(sigma, n, data):
     inst = build_instance(alphabet, strings)
     column = [st.integers(1, len(s)) for s in strings]
     rows = data.draw(st.lists(st.tuples(*column), min_size=1, max_size=8), label="cursors")
-    positions = np.array(rows, dtype=inst.suffix_table.dtype) - 1
+    positions = np.array(rows, dtype=inst.next_table.dtype) - 1
     got = occurrence_bounds(inst.suffix_table, positions, 1)
     want = [inst.upper_bound(NodeState(cursors=row, depth=0)) for row in rows]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("largest", [255, 256])
+@pytest.mark.parametrize("sigma,n,one_gather", [(4, 2, True), (20, 4, False)])
+def test_occurrence_bounds_at_the_count_dtype_edge(sigma, n, one_gather, largest, shift):
+    # the last count that fits uint8 and the first that does not, on both paths
+    rng = random.Random(largest * 100 + sigma)
+    alphabet = string.ascii_uppercase[:sigma]
+    strings = []
+    for _ in range(n):
+        # every string holds `largest` As at random places, so the least A count is it
+        symbols = [rng.choice(alphabet[1:]) for _ in range(200)] + ["A"] * largest
+        rng.shuffle(symbols)
+        strings.append("".join(symbols))
+    inst = build_instance(alphabet, strings)
+    assert (inst.suffix_table.dtype == np.uint8) == (largest == 255)
+    assert (n * inst.suffix_table.shape[2] <= ONE_GATHER_COUNTS) == one_gather
+    # the first row reads every string's totals
+    rows = [(shift,) * n] + [tuple(rng.randint(shift, len(s)) for s in strings)
+                             for _ in range(50)]
+    positions = np.array(rows, dtype=inst.next_table.dtype) - shift
+    got = occurrence_bounds(inst.suffix_table, positions, shift)
+    want = [inst.upper_bound(NodeState(cursors=row, depth=0)) for row in rows]
+    assert got.tolist() == want
+    assert want[0] >= largest

@@ -2,14 +2,16 @@
 worked example S = {"BCABAABC", "CAACBBAA"} over {A, B, C}."""
 
 import random
+import string
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsbeam.instance import NodeState, build_instance, reconstruct_solution
+from lcsbeam.instance import FAST_TAKE_BYTES, NodeState, build_instance, reconstruct_solution
 from lcsbeam.oracle import exact_lcs2, exact_lcs3
 from lcsbeam.probability import CapacityError
 
@@ -85,7 +87,7 @@ class TestBuild:
         inst = build_instance(alphabet, strings)
         nxt, cnt = loop_tables(inst)
         assert np.array_equal(inst.next_table, nxt)
-        assert np.array_equal(inst.suffix_table, cnt)
+        assert np.array_equal(inst.suffix_table[..., :len(symbols)], cnt)
 
     def test_lone_surrogate_is_a_symbol(self):
         inst = build_instance("A\ud800", ["\ud800A\ud800", "A\ud800"])
@@ -110,7 +112,11 @@ class TestBuild:
 
 
 def loop_tables(inst):
-    """The instance tables as a loop over (string, symbol) columns builds them."""
+    """The instance tables as a loop over (string, symbol) columns builds them.
+
+    Both in the next table's dtype, with sigma columns: the counts equal the
+    instance's first sigma count columns, whatever their dtype.
+    """
     n, sigma, width = inst.n_strings, inst.sigma_size, inst.max_len + 1
     dtype = inst.next_table.dtype
     nxt = np.full((n, width, sigma), inst.no_occurrence, dtype=dtype)
@@ -146,15 +152,53 @@ class TestTablesMatchColumnLoop:
         # unequal lengths, empty strings included
         inst = build_instance(*case)
         nxt, cnt = loop_tables(inst)
-        assert inst.next_table.dtype == nxt.dtype and inst.suffix_table.dtype == cnt.dtype
+        assert inst.next_table.dtype == nxt.dtype
+        # uint8 counts exactly while no count passes 255 (at most 40 here)
+        want = np.uint8 if cnt.max(initial=0) <= 255 else nxt.dtype
+        assert inst.suffix_table.dtype == want
         assert np.array_equal(inst.next_table, nxt)
-        assert np.array_equal(inst.suffix_table, cnt)
+        assert np.array_equal(inst.suffix_table[..., :inst.sigma_size], cnt)
 
     def test_all_empty(self):
         inst = build_instance("AB", ["", ""])
         nxt, cnt = loop_tables(inst)
         assert np.array_equal(inst.next_table, nxt)
         assert np.array_equal(inst.suffix_table, cnt)
+
+
+class TestCountTable:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.sampled_from([255, 256]), st.data())
+    def test_check_bounds_the_build(self, sigma, largest, data):
+        # one symbol of one string is topped up to exactly `largest` copies
+        # at random places, so the largest count lands on 255 or on 256
+        alphabet = string.ascii_letters[:sigma]
+        strings = data.draw(st.lists(st.text(alphabet, max_size=30), min_size=2, max_size=4),
+                            label="strings")
+        which = data.draw(st.integers(0, len(strings) - 1), label="which")
+        symbol = data.draw(st.sampled_from(alphabet), label="symbol")
+        topped = list(strings[which] + symbol * (largest - strings[which].count(symbol)))
+        random.Random(data.draw(st.integers(0, 2**32), label="shuffle")).shuffle(topped)
+        strings[which] = "".join(topped)
+        charged = []
+        with mock.patch("lcsbeam.instance.check_budget",
+                        lambda need, what: charged.append(need)):
+            inst = build_instance(alphabet, strings)
+        assert len(charged) == 1
+        assert inst.next_table.nbytes + inst.suffix_table.nbytes <= charged[0]
+        assert (inst.suffix_table.dtype == np.uint8) == (largest <= 255)
+        cols = inst.suffix_table.shape[2]
+        if inst.suffix_table.dtype != np.uint8:
+            assert (inst.suffix_table.dtype, cols) == (inst.next_table.dtype, sigma)
+        elif sigma <= FAST_TAKE_BYTES:
+            # the narrowest row of 1, 2, 4, 8, 16 or 32 bytes that holds sigma counts
+            assert cols in (1, 2, 4, 8, 16, 32) and sigma <= cols < 2 * sigma
+        else:
+            assert cols == sigma
+        assert not inst.suffix_table[..., sigma:].any()
+        _, cnt = loop_tables(inst)
+        assert np.array_equal(inst.suffix_table[..., :sigma], cnt)
+        assert int(cnt.max()) == largest
 
 
 class TestTableDtype:
