@@ -24,8 +24,8 @@ vector with one copy), so a level gathers, scores and ranks each
 distinct (parent, symbol) child once, and `nodes_expanded` counts every
 copy: the search output is that of the beam that keeps every copy.
 
-The wrapper trial-runs two heuristics at a reduced width and replays the
-winner (first one on ties) at full width.
+The wrapper trial-runs two heuristics, each the same search with `beta`
+set to `beta_h`, and replays the winner (first one on ties) at `beta`.
 
 A level is three phases on numpy arrays, each built once per search:
 `_expander` gathers the children, `_scorer` scores them under one
@@ -36,8 +36,9 @@ arithmetic on them mixes in another integer dtype (only the gather
 indices are intp, and gcov's exact sums int64).  The scorers,
 `occurrence_bounds`, the rank and the merge receive transposed (slots, N)
 views, and numpy reduces over their strings at the leading-axis speed of
-the base.  `search_bytes`, an upper bound on the memory of all of this,
-is checked against the budget before the first level.
+the base.  `search_bytes`, an upper bound on the memory of all of this
+that reads its sizes from the instance, is checked against the budget
+before the first level.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .heuristics import (
     score_prob_batch,
     select_k,
 )
-from .instance import Instance, table_dtype
+from .instance import Instance
 from .probability import check_budget, get_kernel
 
 # Ties in score rank by cursor vector, lexicographically ascending.
@@ -157,14 +158,13 @@ def verify_solution(instance: Instance, solution: str) -> bool:
     return True
 
 
-def beam_search(instance: Instance, config: BeamConfig, width: int | None = None) -> RunReport:
-    """Run the beam search; `width` overrides config.beta (probe runs)."""
+def beam_search(instance: Instance, config: BeamConfig) -> RunReport:
+    """Run the beam search at width `config.beta`."""
     if instance is None or instance.n_strings == 0:
         raise ValueError("beam search needs a non-empty instance")
-    beta = config.beta if width is None else width
+    beta = config.beta
     n, sigma = instance.n_strings, instance.sigma_size
-    need = search_bytes(beta, n, sigma, instance.max_len, instance.suffix_table[0, 0].nbytes)
-    check_budget(need, f"search for beta={beta}, N={n}, sigma={sigma}")
+    check_budget(search_bytes(beta, instance), f"search for beta={beta}, N={n}, sigma={sigma}")
     expand = _expander(instance, beta)
     score = _scorer(instance, config.heuristic, beta)
     arena: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, symbol codes)
@@ -176,8 +176,8 @@ def beam_search(instance: Instance, config: BeamConfig, width: int | None = None
     t0 = time.perf_counter()
     # string-major (N, B) positions, each its cursor - 1: the root's cursors are 0
     beam = np.full((n, 1), -1, dtype=np.intp)
-    # each beam vector's copies, intp, or None while every vector has one
-    copies = None
+    # each beam vector's copies: the root is one vector with one copy
+    copies = np.ones(1, dtype=np.intp)
     nodes_expanded = 0
     while True:
         positions, slots = expand(beam)
@@ -297,45 +297,49 @@ def _selector(merge: bool, beta: int, sigma: int, arena: list, by_score: bool):
     the walk back from the first vector of the last level steps only on
     first copies; it ranks by score first when `by_score`.  With `merge`,
     `_merge_duplicates` keeps one child per vector and the first `beta` of
-    those.  Either gathers the cursor columns of only the rows it orders
-    or compares (positions sort as their cursors do).  Each
-    level appends its kept children's parents and symbols to `arena`, in
-    the smallest unsigned dtypes that hold beta - 1 and sigma - 1.
-    Returns the kept slots in rank order, their copy counts (None while
-    every count is 1) and the copies the level expanded.
+    those, each one copy, so the parents' copies are never gathered.
+    Either gathers the cursor columns of only the rows it orders or
+    compares (positions sort as their cursors do).  Each level appends its
+    kept children's parents and symbols to `arena`, in the smallest
+    unsigned dtypes that hold beta - 1 and sigma - 1.  Returns the kept
+    slots in rank order, their copy counts (intp; with `merge`, a
+    read-only slice of ones) and the copies the level expanded.
     """
     parent_of = np.repeat(np.arange(beta, dtype=np.min_scalar_type(beta - 1)), sigma)
     symbol_of = np.tile(np.arange(sigma, dtype=np.min_scalar_type(sigma - 1)), beta)
 
     if merge:
-        def keep(scores, cursors, slots, weights):
-            return _merge_duplicates(scores, cursors, slots)[:beta], None
+        ones = np.ones(beta, dtype=np.intp)
+        ones.flags.writeable = False
+
+        def keep(scores, cursors, slots, copies):
+            order = _merge_duplicates(scores, cursors, slots)[:beta]
+            return order, ones[:len(order)], len(scores)
     else:
-        def keep(scores, cursors, slots, weights):
-            return _rank(scores, cursors, beta, slots, weights, by_score=by_score)
+        def keep(scores, cursors, slots, copies):
+            weights = copies.take(parent_of.take(slots))
+            order, counts = _rank(scores, cursors, beta, slots, weights, by_score=by_score)
+            return order, counts, int(weights.sum())
 
     def select(scores, positions, slots, copies):
-        weights = None if copies is None else copies.take(parent_of.take(slots))
-        order, copies = keep(scores, positions.T, slots, weights)
+        order, copies, children = keep(scores, positions.T, slots, copies)
         kept = slots[order]
         arena.append((parent_of.take(kept), symbol_of.take(kept)))
-        return kept, copies, len(scores) if weights is None else int(weights.sum())
+        return kept, copies, children
 
     return select
 
 
-def search_bytes(
-    width: int, n_strings: int, sigma: int, max_len: int, count_row_bytes: int | None = None
-) -> int:
-    """Upper bound on the array bytes a search at `width` holds at one time.
+def search_bytes(width: int, instance: Instance) -> int:
+    """Upper bound on the array bytes a search of `instance` at `width` holds at one time.
 
     A level has width * sigma slots, one per (parent, symbol), and every
     child is one of them.  The gathered block, the remainders and a
-    probability score's window index are in the table dtype,
-    `table_dtype(max_len)`, of w bytes (2 for uint16, 4 for int32).  Each
-    (slot, string) cell takes 2w bytes for the block and the remainders,
-    which are kept from level to level, plus the larger of two sets of
-    temporaries that are never held together: a scorer's (a probability
+    probability score's window index are in the instance's table dtype,
+    of w bytes (2 for uint16, 4 for int32).  Each (slot, string) cell
+    takes 2w bytes for the block and the remainders, which are kept from
+    level to level, plus the larger of two sets of temporaries that are
+    never held together: a scorer's (a probability
     score's window index and float64 gather, with its carried row at most
     w + 17 bytes a cell; gcov's intp row index or int64 squares, 8) and
     the rank's (the candidates' columns, their byte-string keys and the
@@ -356,9 +360,8 @@ def search_bytes(
     weights, the run starts, their weights and the running sums), a bytes
     in the parent and symbol tables, and gcov's suffix counts: at most
     ONE_GATHER_COUNTS counts of at most w bytes gathered in one step, and
-    two blocks of one count row a slot, of `count_row_bytes` each: the
-    instance's padded row, `suffix_table[0, 0].nbytes`, or by default w *
-    sigma, the widest a row can be.  A kept vector takes a bytes in the
+    two blocks of one count row a slot, each the instance's padded row,
+    `suffix_table[0, 0].nbytes`.  A kept vector takes a bytes in the
     arena: its parent in the smallest unsigned dtype that holds width - 1
     and its symbol in the one that holds sigma - 1 (a = 2 while both are
     at most 256).  The beam holds its positions, intp gather index and
@@ -374,8 +377,9 @@ def search_bytes(
     tracemalloc measured up to 8 KiB above the other terms after a warm-up
     run and 11 KiB in a fresh process: a margin of 2x and 1.4x.
     """
-    w = table_dtype(max_len).itemsize
-    row = w * sigma if count_row_bytes is None else count_row_bytes
+    n_strings, sigma, max_len = instance.n_strings, instance.sigma_size, instance.max_len
+    w = instance.next_table.dtype.itemsize
+    row = instance.suffix_table[0, 0].nbytes
     a = np.min_scalar_type(width - 1).itemsize + np.min_scalar_type(sigma - 1).itemsize
     per_cell = 2 * w + max(w + 17, 3 * w + 1)
     per_slot = n_strings * per_cell + 170 + 2 * a + w * ONE_GATHER_COUNTS + 2 * row
@@ -419,27 +423,26 @@ def _rank(
     cursors: np.ndarray,
     top: int,
     slots: np.ndarray,
-    weights: np.ndarray | None = None,
+    weights: np.ndarray,
     by_score: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The first `top` copies by score descending, cursor vector lex ascending.
 
     Child j's cursor vector is row `slots[j]` of `cursors`, and it stands
-    for `weights[j]` >= 1 copies (one each when `weights` is None), which
-    rank as adjacent rows.  Every child stands for at least one copy, so
-    only children scoring at or above the top-th best score, the
-    candidates, can be among the first `top` copies (`top` >= the child
-    count keeps all), and at most the first `top` of them are kept.  With
-    `by_score`, `_by_score` orders the candidates by score alone, which is
-    their rank unless two of them tie in score with distinct vectors;
-    without it, or where they do, their rows are gathered and ordered by
-    `_order`.  A cursor vector fixes its score, so the copies of a vector
-    are one run of adjacent rows.  Each run is kept as its first row,
-    counting its rows' weights, until the count reaches `top`; the last
-    run's count is cut to fit.
+    for `weights[j]` >= 1 copies, which rank as adjacent rows.  Every
+    child stands for at least one copy, so only children scoring at or
+    above the top-th best score, the candidates, can be among the first
+    `top` copies (`top` >= the child count keeps all), and at most the
+    first `top` of them are kept.  With `by_score`, `_by_score` orders the
+    candidates by score alone, which is their rank unless two of them tie
+    in score with distinct vectors; without it, or where they do, their
+    rows are gathered and ordered by `_order`.  A cursor vector fixes its
+    score, so the copies of a vector are one run of adjacent rows.  Each
+    run is kept as its first row, counting its rows' weights, until the
+    count reaches `top`; the last run's count is cut to fit.
 
     Returns (rows, copies): the kept children's indices in rank order and
-    each one's count (intp), or None for the count when each is 1.
+    each one's count (intp).
     """
     neg = -scores
     rows = None
@@ -457,17 +460,11 @@ def _rank(
     order = order[:top]
     if rows is not None:
         order = rows.take(order)
+    counts = weights.take(order)
     starts = None if heads is None else heads[:top].nonzero()[0]
-    if starts is None or len(starts) == len(order):
-        # every run is one row
-        if weights is None:
-            return order, None
-        counts = weights.take(order)
-    else:
-        if weights is None:
-            # one copy a row: a run counts its rows
-            return order.take(starts), np.diff(starts, append=len(order))
-        counts = np.add.reduceat(weights.take(order), starts)
+    if starts is not None and len(starts) < len(order):
+        # a run counts its rows' copies
+        counts = np.add.reduceat(counts, starts)
         order = order.take(starts)
     total = np.add.accumulate(counts)
     # the runs up to the first whose running count reaches top
@@ -581,15 +578,15 @@ def hyper_heuristic(
     hf1: HeuristicSpec,
     hf2: HeuristicSpec,
 ) -> RunReport:
-    """Probe both heuristics at the reduced width, replay the winner.
+    """Probe both heuristics at `beta = config.beta_h`, replay the winner at `config.beta`.
 
     The first heuristic wins ties (probe length greater or equal).  The
     report records both probe lengths, both probe wall times and which
     heuristic ran at full width; its wall time covers the winning
     full-width run only.
     """
-    probe1 = beam_search(instance, replace(config, heuristic=hf1), width=config.beta_h)
-    probe2 = beam_search(instance, replace(config, heuristic=hf2), width=config.beta_h)
+    probe1 = beam_search(instance, replace(config, heuristic=hf1, beta=config.beta_h))
+    probe2 = beam_search(instance, replace(config, heuristic=hf2, beta=config.beta_h))
     winner = hf1 if probe1.length >= probe2.length else hf2
     final = beam_search(instance, replace(config, heuristic=winner))
     final.chosen_heuristic = winner.kind.value

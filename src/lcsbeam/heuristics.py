@@ -15,6 +15,7 @@ children of that level, so scores stay comparable across the level.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 from enum import Enum
 
@@ -63,6 +64,16 @@ class HeuristicSpec:
     gamma_slope: float = GAMMA_SLOPE
     gamma_intercept: float = GAMMA_INTERCEPT
     fixed_k: int | None = None
+
+    def __post_init__(self):
+        for name in ("a", "b", "c", "gamma_slope", "gamma_intercept"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        k = self.fixed_k
+        if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0):
+            raise ValueError(f"fixed_k must be a non-negative integer, got {k!r}")
 
     def gamma(self, n_strings: int) -> float:
         """Variance exponent; may be negative for small string counts."""
@@ -122,16 +133,18 @@ def select_k(
     """
     kind = spec.kind
     if kind is HeuristicKind.PROB_K_GUESS:
-        k = math.floor(min_remaining / sigma_size)
+        k, to_int = min_remaining / sigma_size, math.floor
     elif kind is HeuristicKind.PROB_K_ANALYTIC_UNCORR:
-        k = round_half_away(
-            max_remaining * (spec.a - spec.b * math.log(n_strings)) / sigma_size
-        )
+        k = max_remaining * (spec.a - spec.b * math.log(n_strings)) / sigma_size
+        to_int = round_half_away
     elif kind is HeuristicKind.PROB_K_ANALYTIC_CORR:
-        k = math.floor((min_remaining - spec.c) / sigma_size)
+        k, to_int = (min_remaining - spec.c) / sigma_size, math.floor
     else:
         raise ValueError(f"{kind} has no k-selection rule")
-    return max(1, min(int(k), int(min_remaining)))
+    # clamped before the rounding, which neither moves an integer bound nor
+    # reorders two values, so that an overflowed (infinite, or NaN from 0 *
+    # inf) k still gives a target; a NaN fails both comparisons and gives 1
+    return int(to_int(max(1, min(k, int(min_remaining)))))
 
 
 def score_prob(

@@ -83,7 +83,10 @@ def check_budget(need: int, what: str) -> None:
             mb = float(raw)
         except ValueError:
             raise CapacityError(f"{TABLE_BUDGET_ENV} is not a number: {raw!r}")
-    budget = int(mb * 1024 * 1024)
+        if not math.isfinite(mb):
+            raise CapacityError(f"{TABLE_BUDGET_ENV} is not a finite number: {raw!r}")
+    # kept a float: a finite budget past about 1.7e302 MiB is inf bytes and refuses nothing
+    budget = mb * 1024 * 1024
     if need > budget:
         raise CapacityError(
             f"{what}: {need / 2**20:.1f} MiB needed, "

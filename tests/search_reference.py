@@ -60,9 +60,9 @@ def ref_rank_copies(scores, cursors, top, weights=None):
     return first[starts], np.diff(np.r_[starts, len(first)])
 
 
-def ref_beam_search(instance, config, width=None):
+def ref_beam_search(instance, config):
     """(solution, levels, nodes_expanded) of a beam that keeps every copy."""
-    beta = config.beta if width is None else width
+    beta = config.beta
     spec = config.heuristic
     kernel = None
     if spec.kind.uses_probability:
@@ -134,7 +134,7 @@ def ref_hyper_heuristic(instance, config, hf1, hf2):
     """((solution, levels, nodes_expanded), probe lengths) of the wrapper:
     both probes at the probe width, the winner (first on ties) at full width."""
     probes = tuple(
-        len(ref_beam_search(instance, replace(config, heuristic=spec), config.beta_h)[0])
+        len(ref_beam_search(instance, replace(config, heuristic=spec, beta=config.beta_h))[0])
         for spec in (hf1, hf2)
     )
     winner = hf1 if probes[0] >= probes[1] else hf2

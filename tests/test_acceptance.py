@@ -184,10 +184,8 @@ def test_criterion_5_hyper_heuristic_contract(capsys):
         hf2 = GCOV
         config = BeamConfig(heuristic=hf1, beta=60, beta_h=20)
         report = hyper_heuristic(inst, config, hf1, hf2)
-        probe1 = beam_search(inst, config, width=20).length
-        probe2 = beam_search(
-            inst, BeamConfig(heuristic=hf2, beta=60, beta_h=20), width=20
-        ).length
+        probe1 = beam_search(inst, BeamConfig(heuristic=hf1, beta=20, beta_h=20)).length
+        probe2 = beam_search(inst, BeamConfig(heuristic=hf2, beta=20, beta_h=20)).length
         expected = hf1 if probe1 >= probe2 else hf2
         if (
             report.chosen_heuristic == expected.kind.value

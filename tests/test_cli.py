@@ -50,12 +50,6 @@ def table_charge(instance):
     return table_budget_bytes(instance.n_strings, instance.max_len, instance.sigma_size)
 
 
-def search_charge(instance, beta):
-    """What the budget check charges for a search of `instance` at `beta`."""
-    return search_bytes(beta, instance.n_strings, instance.sigma_size, instance.max_len,
-                        instance.suffix_table[0, 0].nbytes)
-
-
 def budget_mib(need):
     """A LCSBEAM_TABLE_BUDGET_MB value of exactly `need` bytes."""
     return repr(need / 2**20)
@@ -65,7 +59,7 @@ def budget_between_entries():
     """The budget that fits BUDGET_MANIFEST's first entry and not its second."""
     fits, _ = gen_uncorrelated(4, 2, 20, 1)
     refused, _ = gen_uncorrelated(4, 10, 200, 1)
-    need = max(table_charge(fits), search_charge(fits, 5))
+    need = max(table_charge(fits), search_bytes(5, fits))
     assert need < table_charge(refused)
     return budget_mib(need)
 
@@ -74,10 +68,10 @@ def refuse_probability_solves(monkeypatch):
     """Make the CLI's solves raise CapacityError for probability heuristics."""
     real = cli.beam_search
 
-    def refusing(instance, config, width=None):
+    def refusing(instance, config):
         if config.heuristic.kind.uses_probability:
             raise CapacityError(REFUSAL)
-        return real(instance, config, width)
+        return real(instance, config)
 
     monkeypatch.setattr(cli, "beam_search", refusing)
 
@@ -232,6 +226,38 @@ class TestSolve:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "kanalytic-uncorr", "a": math.nan},
+        {"kind": "kanalytic-corr", "c": -math.inf},
+        {"kind": "kguess", "fixed_k": 2.5},
+        {"kind": "gcov", "a": "x"},
+        {"kind": "gcov", "gamma_slope": math.inf},
+    ])
+    def test_bad_heuristic_config_value(self, capsys, tmp_path, spec):
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(spec))
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--gen", "uncorr", "--sigma", "4", "--n", "3", "--len", "20",
+            "--seed", "1", "--heuristic-config", str(config),
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: bad heuristic config: ")
+
+    def test_heuristic_config_past_the_float_range(self, capsys, tmp_path):
+        # a finite constant whose k rule overflows still gives a target in range
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"kind": "kanalytic-uncorr", "a": 1e308}))
+        code, out, _ = run_cli(
+            capsys,
+            "solve", "--gen", "uncorr", "--sigma", "4", "--n", "3", "--len", "20",
+            "--seed", "1", "--heuristic-config", str(config), "--json",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["verified"] and payload["config"]["heuristic"]["a"] == 1e308
+
     def test_missing_seed_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", "--gen", "uncorr", "--sigma", "4", "--n", "2", "--len", "10"
@@ -252,6 +278,20 @@ class TestSolve:
         assert code == EXIT_DATASET
         assert err.startswith("capacity error: instance tables for N=10")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("source", ["gen", "input"])
+    def test_non_finite_budget_is_capacity_error(self, capsys, monkeypatch, tmp_path, raw, source):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", raw)
+        if source == "gen":
+            flags = ("--gen", "uncorr", "--sigma", "4", "--n", "3", "--len", "20", "--seed", "1")
+        else:
+            path = tmp_path / "worked.txt"
+            path.write_text(WORKED_FILE)
+            flags = ("--input", str(path))
+        code, out, err = run_cli(capsys, "solve", *flags, "--heuristic", "minlen")
+        assert (code, out) == (EXIT_DATASET, "")
+        assert err == f"capacity error: LCSBEAM_TABLE_BUDGET_MB is not a finite number: '{raw}'\n"
+
     def test_sixteen_bit_tables_fit_where_int32_tables_did_not(self, capsys, monkeypatch):
         # sigma=20, N=10, len=1000: a budget that holds the charge for uint16
         # tables and the beta=5 search refuses the charge for int32 tables
@@ -259,7 +299,7 @@ class TestSolve:
         with monkeypatch.context() as mp:
             mp.setattr("lcsbeam.instance.table_dtype", lambda max_len: np.dtype(np.int32))
             int32 = table_charge(uint16)
-        need = max(table_charge(uint16), search_charge(uint16, 5))
+        need = max(table_charge(uint16), search_bytes(5, uint16))
         assert need < int32
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget_mib(need))
         argv = ("solve", "--gen", "uncorr", "--sigma", "20", "--n", "10", "--len", "1000",

@@ -36,14 +36,13 @@ def every_row(cursors: np.ndarray) -> np.ndarray:
     return np.arange(len(cursors))
 
 
-def ranked(result):
-    """`_rank`'s (rows, copies) with copies spelt out where it returns None."""
-    rows, copies = result
-    return rows, np.ones(len(rows), dtype=np.intp) if copies is None else copies
+def one_copy_each(children) -> np.ndarray:
+    """The weights of a level whose every child stands for one copy."""
+    return np.ones(len(children), dtype=np.intp)
 
 
 def assert_ranked(result, want):
-    rows, copies = ranked(result)
+    rows, copies = result
     assert np.array_equal(rows, want[0]) and np.array_equal(copies, want[1])
 
 
@@ -112,9 +111,9 @@ def forced_rank(by_score):
     return rank
 
 
-def straddling_cuts(scores, cursors, weights=None):
+def straddling_cuts(scores, cursors, weights):
     """Each `top` that cuts between two copies of distinct vectors equal in score."""
-    rows = np.arange(len(scores)) if weights is None else np.repeat(np.arange(len(scores)), weights)
+    rows = np.repeat(np.arange(len(scores)), weights)
     full = rows[ref_rank(scores[rows], cursors[rows])]
     ranked, vectors = scores[full], cursors[full]
     tied = (ranked[1:] == ranked[:-1]) & (vectors[1:] != vectors[:-1]).any(axis=1)
@@ -125,7 +124,7 @@ def straddling_cuts(scores, cursors, weights=None):
 @given(level_arrays(), st.data())
 def test_rank_is_prefix_of_full_sort(cursors, data):
     # one copy each and every vector distinct: the kept rows are the first
-    # `top` of the full sort, and no count is returned
+    # `top` of the full sort, one copy each
     distinct = np.unique(cursors, axis=0)
     cursors = distinct[data.draw(st.permutations(range(len(distinct))))]
     scores = np.array(
@@ -136,8 +135,9 @@ def test_rank_is_prefix_of_full_sort(cursors, data):
     with pytest.MonkeyPatch.context() as mp:
         for by_score in rank_paths(mp):
             for top in range(1, len(cursors) + 3):
-                rows, copies = _rank(scores, cursors, top, every_row(cursors), by_score=by_score)
-                assert np.array_equal(rows, full[:top]) and copies is None
+                rows, copies = _rank(scores, cursors, top, every_row(cursors),
+                                     one_copy_each(cursors), by_score=by_score)
+                assert np.array_equal(rows, full[:top]) and np.array_equal(copies, one_copy_each(rows))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -145,14 +145,14 @@ def test_rank_is_prefix_of_full_sort(cursors, data):
        st.data())
 def test_rank_counts_the_copies_of_each_vector(cursors, palette, data):
     scores = scores_by_vector(cursors, palette)
-    weights = None  # one copy a row
+    weights = one_copy_each(cursors)
     if data.draw(st.booleans(), label="weighted"):
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         weights = np.random.default_rng(seed).integers(1, 5, size=len(cursors))
     with pytest.MonkeyPatch.context() as mp:
         # the first copy, a drawn cut, the last copy and past it, and a cut
         # between distinct vectors equal in score
-        total = len(cursors) if weights is None else int(weights.sum())
+        total = int(weights.sum())
         tops = {1, data.draw(st.integers(1, total), label="top"), total, total + 1}
         straddling = straddling_cuts(scores, cursors, weights)
         if len(straddling):
@@ -178,13 +178,14 @@ def test_cut_inside_a_run_truncates_its_count(threshold, monkeypatch):
                                   (9, [0, 1], [5, 4]), (20, [0, 1], [5, 4])]:
             got = _rank(scores, cursors, top, rows_of, weights, by_score=by_score)
             assert_ranked(got, (np.array(rows), np.array(copies)))
-        # one copy a row: a run counts its rows, and none is returned without a run
-        got = _rank(scores, cursors, 3, rows_of, by_score=by_score)
+        # one copy a row: a run counts its rows, and a row without a run one copy
+        ones = one_copy_each(cursors)
+        got = _rank(scores, cursors, 3, rows_of, ones, by_score=by_score)
         assert_ranked(got, (np.array([0, 1]), np.array([2, 1])))
-        got = _rank(scores, cursors, 2, rows_of, by_score=by_score)
+        got = _rank(scores, cursors, 2, rows_of, ones, by_score=by_score)
         assert_ranked(got, (np.array([0]), np.array([2])))
-        rows, copies = _rank(scores[:2], cursors[:2], 2, rows_of[:2], by_score=by_score)
-        assert np.array_equal(rows, [0, 1]) and copies is None
+        got = _rank(scores[:2], cursors[:2], 2, rows_of[:2], ones[:2], by_score=by_score)
+        assert_ranked(got, (np.array([0, 1]), np.array([1, 1])))
 
 
 @pytest.mark.parametrize("threshold", ORDER_PATHS, ids=["lexsort", "keys"])
@@ -195,14 +196,16 @@ def test_a_tie_across_the_cut_breaks_by_vector(threshold, monkeypatch):
         # between them: the lesser vector, row 1, is kept
         cursors = np.array([[3, 1], [2, 9], [0, 0]], dtype=np.uint16)
         scores = np.array([5.0, 5.0, 1.0])
-        assert_ranked(_rank(scores, cursors, 1, every_row(cursors), by_score=by_score),
+        assert_ranked(_rank(scores, cursors, 1, every_row(cursors), one_copy_each(cursors),
+                            by_score=by_score),
                       (np.array([1]), np.array([1])))
         # rows 0 and 1 are one vector and row 2 a lesser one of their score: the
         # two rows before the cut tie with equal vectors, and row 2 still goes first
         cursors = np.array([[3, 1], [3, 1], [2, 9], [0, 0]], dtype=np.uint16)
         scores = np.array([5.0, 5.0, 5.0, 1.0])
         for top, rows, copies in [(1, [2], [1]), (2, [2, 0], [1, 1]), (3, [2, 0], [1, 2])]:
-            got = _rank(scores, cursors, top, every_row(cursors), by_score=by_score)
+            got = _rank(scores, cursors, top, every_row(cursors), one_copy_each(cursors),
+                        by_score=by_score)
             assert_ranked(got, (np.array(rows), np.array(copies)))
 
 
@@ -229,7 +232,8 @@ def test_rank_and_merge_read_cursor_rows_by_slot(block, data):
     for top in range(1, len(slots) + 2):
         want = ref_rank_copies(scores, children, top)
         for by_score in BY_SCORE:
-            assert_ranked(_rank(scores, rows, top, slots, by_score=by_score), want)
+            assert_ranked(_rank(scores, rows, top, slots, one_copy_each(slots), by_score=by_score),
+                          want)
     assert np.array_equal(_merge_duplicates(scores, rows, slots), ref_survivors(children, scores))
 
 
@@ -241,9 +245,10 @@ def test_uint16_cursors_rank_and_merge_as_int32(narrow, data):
     scores = scores_by_vector(wide, palette)
     for top in range(1, len(narrow) + 2):
         for by_score in BY_SCORE:
-            got = ranked(_rank(scores, narrow, top, every_row(narrow), by_score=by_score))
+            ones = one_copy_each(narrow)
+            got = _rank(scores, narrow, top, every_row(narrow), ones, by_score=by_score)
             assert_ranked(got, ref_rank_copies(scores, wide, top))
-            assert_ranked(got, ranked(_rank(scores, wide, top, every_row(wide), by_score=by_score)))
+            assert_ranked(got, _rank(scores, wide, top, every_row(wide), ones, by_score=by_score))
     survivors = _merge_duplicates(scores, narrow, every_row(narrow))
     assert np.array_equal(survivors, ref_survivors(wide, scores))
     assert np.array_equal(survivors, _merge_duplicates(scores, wide, every_row(wide)))

@@ -66,6 +66,32 @@ class TestSelectK:
         k = select_k(spec, lo, lo + spread, sigma, n_strings)
         assert 1 <= k <= max(1, lo)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from([HeuristicKind.PROB_K_ANALYTIC_UNCORR,
+                              HeuristicKind.PROB_K_ANALYTIC_CORR, HeuristicKind.PROB_K_GUESS]),
+        a=st.floats(allow_nan=False, allow_infinity=False),
+        b=st.floats(allow_nan=False, allow_infinity=False),
+        c=st.floats(allow_nan=False, allow_infinity=False),
+        lo=st.integers(0, 10**6),
+        spread=st.integers(0, 10**6),
+        sigma=st.integers(1, 30),
+        n_strings=st.integers(2, 300),
+    )
+    # a rule past the float range: inf, and 0 * inf = NaN at a zero remainder
+    @example(kind=HeuristicKind.PROB_K_ANALYTIC_UNCORR, a=1e308, b=0.0, c=0.0, lo=5, spread=5,
+             sigma=1, n_strings=2)
+    @example(kind=HeuristicKind.PROB_K_ANALYTIC_UNCORR, a=0.0, b=1e308, c=0.0, lo=5, spread=5,
+             sigma=1, n_strings=20)
+    @example(kind=HeuristicKind.PROB_K_ANALYTIC_UNCORR, a=1e308, b=-1e308, c=0.0, lo=0, spread=0,
+             sigma=1, n_strings=20)
+    def test_every_finite_spec_gives_a_target_in_range(
+        self, kind, a, b, c, lo, spread, sigma, n_strings
+    ):
+        spec = HeuristicSpec(kind=kind, a=a, b=b, c=c)
+        k = select_k(spec, lo, lo + spread, sigma, n_strings)
+        assert type(k) is int and 1 <= k <= max(1, lo)
+
     def test_deterministic(self):
         args = (UNCORR, 123, 456, 4, 17)
         assert select_k(*args) == select_k(*args)
@@ -91,6 +117,24 @@ class TestGamma:
         assert d["b"] == 0.1588
         assert d["c"] == 31.0
         assert d["kind"] == "kanalytic-uncorr"
+
+
+class TestSpecValues:
+    @pytest.mark.parametrize("field", ["a", "b", "c", "gamma_slope", "gamma_intercept"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x", None, True, [1.0]])
+    def test_constants_are_finite_real_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
+            HeuristicSpec(kind=HeuristicKind.GCOV, **{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, -1, True, "3", math.inf])
+    def test_fixed_k_is_a_non_negative_int(self, value):
+        with pytest.raises(ValueError, match="fixed_k must be a non-negative integer"):
+            HeuristicSpec(kind=HeuristicKind.PROB_K_GUESS, fixed_k=value)
+
+    def test_finite_values_are_kept(self):
+        spec = HeuristicSpec(kind=HeuristicKind.PROB_K_GUESS, a=1e308, b=-3, c=np.float64(0.5),
+                             gamma_slope=0, fixed_k=np.int64(0))
+        assert (spec.a, spec.b, spec.c, spec.gamma_slope, spec.fixed_k) == (1e308, -3, 0.5, 0, 0)
 
 
 class TestScoreProb:

@@ -28,6 +28,7 @@ from lcsbeam.probability import (
     build_log_table,
     build_table,
     beta_sum_grid,
+    check_budget,
     closed_grid,
     closed_product_grid,
     cross_validate,
@@ -152,6 +153,19 @@ class TestBuildTable:
             for k in range(n + 1):
                 assert t[k, n] == 1.0
         assert t[3, 2] == 0.0
+
+
+class TestBudget:
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e400", "-1e400"])
+    def test_non_finite_budget_is_capacity_error(self, raw, monkeypatch):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", raw)
+        with pytest.raises(CapacityError, match=f"is not a finite number: '{raw}'"):
+            check_budget(1, "a table")
+
+    def test_huge_finite_budget_refuses_nothing(self, monkeypatch):
+        # 1e305 MiB is past the float range in bytes
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1e305")
+        check_budget(2**62, "a table")
 
 
 class TestTabularInputs:
