@@ -222,6 +222,23 @@ class TestSearchBudget:
         bound = search_bytes(beta, inst)
         assert peak <= bound <= BOUND_SLACK * peak + BOUND_FIXED
 
+    @pytest.mark.parametrize("sigma,n,length,beta", [(26, 2, 60, 100), (20, 200, 300, 40),
+                                                     (3, 20, 80, 40)])
+    def test_padded_count_rows_bound_the_gcov_peak(self, sigma, n, length, beta):
+        # the bound a search checks reads the instance's count rows: uint8
+        # counts padded to 32, 32 and 4 bytes for these alphabets
+        inst, _ = gen_uncorrelated(sigma, n, length, 3)
+        row = inst.suffix_table[0, 0]
+        assert (row.dtype.itemsize, row.nbytes) == (1, 1 << (sigma - 1).bit_length())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            beam_search(inst, cfg(GCOV, beta=beta))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= search_bytes(beta, inst)
+
 
 @st.composite
 def tiny_string_sets(draw):
