@@ -273,6 +273,8 @@ def _manifest_solves(args, repeats: int = 1):
     has desc None and every outcome carries its load error.
     """
     heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
+    if not heuristics:
+        raise UsageError(f"--heuristics names no heuristic: {args.heuristics!r}")
     for name in heuristics:
         if name not in HEURISTIC_CHOICES:
             raise UsageError(f"unknown heuristic {name!r} in --heuristics")

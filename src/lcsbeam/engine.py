@@ -36,9 +36,8 @@ arithmetic on them mixes in another integer dtype (only the gather
 indices are intp, and gcov's exact sums int64).  The scorers,
 `occurrence_bounds`, the rank and the merge receive transposed (slots, N)
 views, and numpy reduces over their strings at the leading-axis speed of
-the base.  `search_bytes`, an upper bound on the memory of all of this
-that reads its sizes from the instance, is checked against the budget
-before the first level.
+the base.  `search_bytes`, the sum of what each phase allocates, is
+checked against the budget before the first level.
 """
 
 from __future__ import annotations
@@ -49,8 +48,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .heuristics import (
+    STRING_BLOCK,
     HeuristicKind,
     HeuristicSpec,
+    gcov_gamma,
     score_gcov_batch,
     score_minlen_batch,
     score_prob_batch,
@@ -164,7 +165,7 @@ def beam_search(instance: Instance, config: BeamConfig) -> RunReport:
         raise ValueError("beam search needs a non-empty instance")
     beta = config.beta
     n, sigma = instance.n_strings, instance.sigma_size
-    check_budget(search_bytes(beta, instance), f"search for beta={beta}, N={n}, sigma={sigma}")
+    check_budget(search_bytes(instance, config), f"search for beta={beta}, N={n}, sigma={sigma}")
     expand = _expander(instance, beta)
     score = _scorer(instance, config.heuristic, beta)
     arena: list[tuple[np.ndarray, np.ndarray]] = []  # (parents, symbol codes)
@@ -237,6 +238,15 @@ def _expander(instance: Instance, beta: int):
     return expand
 
 
+def _expand_bytes(instance: Instance, beta: int) -> int:
+    """What `_expander` and the loop's beam hold."""
+    n, w = instance.n_strings, instance.next_table.dtype.itemsize
+    # a slot: its block column and slot table entry, the feasibility test's
+    # maximum and mask, the children's slots and the mask's indices; the beam:
+    # its positions, the next level's or the intp gather index, and its copies
+    return beta * (instance.sigma_size * (n * w + w + 33) + n * (w + 8) + 8) + 8 * n
+
+
 def _scorer(instance: Instance, spec: HeuristicSpec, beta: int):
     """The score phase of `spec`'s kind: (positions, slots) to the children's scores.
 
@@ -275,7 +285,7 @@ def _scorer(instance: Instance, spec: HeuristicSpec, beta: int):
             return score_minlen_batch(remainders.T).take(slots)
 
     else:
-        gamma = spec.gamma(n)
+        gamma = gcov_gamma(spec, n, instance.max_len)
 
         def score(positions, slots):
             if len(slots) < positions.shape[1]:
@@ -285,6 +295,27 @@ def _scorer(instance: Instance, spec: HeuristicSpec, beta: int):
             return score_gcov_batch(remainders.T, ubs, gamma).take(slots)
 
     return score
+
+
+def _score_bytes(instance: Instance, spec: HeuristicSpec, beta: int) -> int:
+    """What `_scorer` holds for `spec`'s kind."""
+    n, w = instance.n_strings, instance.next_table.dtype.itemsize
+    block = min(n, STRING_BLOCK)
+    per_slot, fixed = n * w, 8 * n  # the remainders, a cell each, and the last positions
+    if spec.kind.uses_probability:
+        # the window index, float64 gather and sum of a block of strings;
+        # past the first block, the carried block and the next sum
+        per_slot += block * (w + 8) + (8 if n == block else 152)
+        fixed += 48 * (instance.max_len + 2)  # the kernel's lookups, a row and its temporaries
+    elif spec.kind is HeuristicKind.MINLEN:
+        per_slot += w + 16  # the least remainders, as floats and taken by slot
+    else:
+        # the occurrence bound's one gather (intp rows, counts, least counts) or two count
+        # rows and intp indices; the bounds, a block's int64 squares, eleven float64 vectors
+        row = instance.suffix_table[0, 0].nbytes
+        one_gather = n * instance.suffix_table.shape[2] <= ONE_GATHER_COUNTS
+        per_slot += (n * (8 + row) + 2 * row + 8 if one_gather else 2 * row + 24) + 8 * block + 96
+    return beta * instance.sigma_size * per_slot + fixed
 
 
 def _selector(merge: bool, beta: int, sigma: int, arena: list, by_score: bool):
@@ -330,61 +361,30 @@ def _selector(merge: bool, beta: int, sigma: int, arena: list, by_score: bool):
     return select
 
 
-def search_bytes(width: int, instance: Instance) -> int:
-    """Upper bound on the array bytes a search of `instance` at `width` holds at one time.
+def _select_bytes(instance: Instance, beta: int, merge: bool) -> int:
+    """What `_selector` and the arena it fills hold."""
+    n, sigma, w = instance.n_strings, instance.sigma_size, instance.next_table.dtype.itemsize
+    a = np.min_scalar_type(beta - 1).itemsize + np.min_scalar_type(sigma - 1).itemsize
+    # a slot: its parent and symbol, the ordered rows' columns, their keys and
+    # the ranked keys or columns with a bool comparison, ten intp or float64
+    # vectors and two bool ones and, without merging, each child's parent and
+    # copies; the kept copy counts; at most max_len levels of kept parents and
+    # symbols, each with 320 bytes of Python objects (a level's tuple, array
+    # objects and list slot trace at 280-290)
+    per_slot = a + n * (3 * w + 1) + 82 + (0 if merge else 24)
+    return beta * sigma * per_slot + 8 * beta + instance.max_len * (beta * a + 320)
 
-    A level has width * sigma slots, one per (parent, symbol), and every
-    child is one of them.  The gathered block, the remainders and a
-    probability score's window index are in the instance's table dtype,
-    of w bytes (2 for uint16, 4 for int32).  Each (slot, string) cell
-    takes 2w bytes for the block and the remainders, which are kept from
-    level to level, plus the larger of two sets of temporaries that are
-    never held together: a scorer's (a probability
-    score's window index and float64 gather, with its carried row at most
-    w + 17 bytes a cell; gcov's intp row index or int64 squares, 8) and
-    the rank's (the candidates' columns, their byte-string keys and the
-    ranked keys; or, ranking by score, the columns of both rows of each
-    tied pair and their bool comparison, which are freed before a
-    fallback to the key order) or the merge's (the children's columns,
-    their keys, the ranked keys, or after a lexsort the ranked columns
-    and their bool comparison), at most 3w + 1.  Each slot adds 120 bytes
-    in fourteen int64/float64 vectors (its score before and after the
-    take by slot, its slot; the rank's negated scores, their partition
-    copy, the candidate rows, slots and scores; then either the key
-    order, the scores gathered by it, their order and the composed order,
-    or the score order, the ranked scores, the tie indices and their
-    successors, the tied rows and their slots; gcov's moments are gone
-    before the rank starts) and the slot table, 50 + a bytes for the copy
-    counts (each child's copies and parent index; for each candidate the
-    run test's two bool vectors and five intp ones: the kept order, its
-    weights, the run starts, their weights and the running sums), a bytes
-    in the parent and symbol tables, and gcov's suffix counts: at most
-    ONE_GATHER_COUNTS counts of at most w bytes gathered in one step, and
-    two blocks of one count row a slot, each the instance's padded row,
-    `suffix_table[0, 0].nbytes`.  A kept vector takes a bytes in the
-    arena: its parent in the smallest unsigned dtype that holds width - 1
-    and its symbol in the one that holds sigma - 1 (a = 2 while both are
-    at most 256).  The beam holds its positions, intp gather index and
-    intp copy counts, a probability score its kernel's three O(max_len)
-    lookups and the row built from them.  The arena keeps, for each of at most max_len levels,
-    a bytes per kept vector and 320 bytes of Python objects: the level's
-    tuple, its two array objects and its list slot, which tracemalloc
-    measures at 280-290 bytes a level, and the walk's list of the
-    solution's symbols.  A narrow search of long strings is mostly these
-    objects.  Every search also holds 16 KiB of fixed objects: the
-    phases' closures and array objects, a level's small arrays and the
-    report.  Over 2 880 tiny searches (N <= 6, len <= 40, width <= 12)
-    tracemalloc measured up to 8 KiB above the other terms after a warm-up
-    run and 11 KiB in a fresh process: a margin of 2x and 1.4x.
+
+def search_bytes(instance: Instance, config: BeamConfig) -> int:
+    """Upper bound on the array bytes `beam_search(instance, config)` holds at one time.
+
+    The sum of what each phase allocates for the kind and merge mode it runs,
+    at the full width of beta * sigma slots, plus 16 KiB of fixed objects
+    (tiny searches traced up to 9 KiB above the terms warm, 12 KiB fresh).
     """
-    n_strings, sigma, max_len = instance.n_strings, instance.sigma_size, instance.max_len
-    w = instance.next_table.dtype.itemsize
-    row = instance.suffix_table[0, 0].nbytes
-    a = np.min_scalar_type(width - 1).itemsize + np.min_scalar_type(sigma - 1).itemsize
-    per_cell = 2 * w + max(w + 17, 3 * w + 1)
-    per_slot = n_strings * per_cell + 170 + 2 * a + w * ONE_GATHER_COUNTS + 2 * row
-    level = width * sigma * per_slot + width * (n_strings * (w + 8) + 8) + 48 * (max_len + 1)
-    return level + max_len * (width * a + 320) + 16 * 1024
+    beta = config.beta
+    return (_expand_bytes(instance, beta) + _score_bytes(instance, config.heuristic, beta)
+            + _select_bytes(instance, beta, config.dominance_filter) + 16 * 1024)
 
 
 def occurrence_bounds(

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .instance import Instance, NodeState
-from .probability import ProbKernel
+from .probability import DomainError, ProbKernel
 
 # Published constants of the fitted k rules and the GCoV exponent rule.
 UNCORR_A = 1.8233
@@ -247,6 +247,32 @@ def remainder_moments(remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for start in range(STRING_BLOCK, n, STRING_BLOCK):
         s2 += np.square(remaining[:, start:start + STRING_BLOCK], dtype=np.int64).sum(axis=1)
     return s1 / n, (n * s2 - s1 * s1) / (n * (n - 1))
+
+
+def gcov_gamma(spec: HeuristicSpec, n_strings: int, max_len: int) -> float:
+    """`spec.gamma(n_strings)`; DomainError where gcov's scores can leave the float range.
+
+    With remainders in [0, max_len], N times a positive sample variance is
+    a sum of squared differences over pairs of strings, so the variance
+    lies in [1/N, max_len^2 / 2], and var^gamma between those ends raised
+    to gamma.  A positive score mean^2 / var^gamma * sqrt(ub), with mean
+    and ub at least 1/N and 1 and at most max_len, lies between
+    N^-2 / var^gamma and max_len^2.5 / var^gamma.  The exponent is refused
+    unless var^gamma and both ends are normal floats for every variance in
+    range (1 stands for a variance of 0).
+    """
+    gamma = spec.gamma(n_strings)
+    length = max(max_len, 1)
+    ends = (0.0, -gamma * math.log(n_strings), gamma * math.log(length * length / 2))
+    lo, hi = min(ends), max(ends)
+    logs = (lo, hi, 2.5 * math.log(length) - lo, -2 * math.log(n_strings) - hi)
+    tiny, huge = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+    if not all(tiny <= x <= huge for x in logs):
+        raise DomainError(
+            f"gcov exponent {gamma!r} for N={n_strings} takes var^gamma or the score "
+            f"out of the float range for remainders up to {max_len}"
+        )
+    return gamma
 
 
 def score_gcov_batch(

@@ -37,8 +37,8 @@ WORKED_FILE = "2 3\nABC\n8 BCABAABC\n8 CAACBBAA\n"
 REFUSED_ENTRY = "gen: uncorr sigma=7 n=2 len=23 seed=5\n"
 REFUSAL = "refused by the test"
 
-# Under `budget_between_entries()` the first entry's instance tables and its
-# beta=5 search fit, and the second's tables are refused before they are built.
+# Under `budget_between_entries(...)` the first entry's instance tables and its
+# beta=5 searches fit, and the second's tables are refused before they are built.
 BUDGET_MANIFEST = (
     "gen: uncorr sigma=4 n=2 len=20 seed=1\n"
     "gen: uncorr sigma=4 n=10 len=200 seed=1\n"
@@ -55,11 +55,14 @@ def budget_mib(need):
     return repr(need / 2**20)
 
 
-def budget_between_entries():
-    """The budget that fits BUDGET_MANIFEST's first entry and not its second."""
+def budget_between_entries(*heuristics):
+    """The budget that fits BUDGET_MANIFEST's first entry, and its beta=5
+    search under each named heuristic, and not the second entry."""
     fits, _ = gen_uncorrelated(4, 2, 20, 1)
     refused, _ = gen_uncorrelated(4, 10, 200, 1)
-    need = max(table_charge(fits), search_bytes(5, fits))
+    searches = [BeamConfig(heuristic=resolve_heuristic(name, Family.UNCORRELATED), beta=5)
+                for name in heuristics]
+    need = max([table_charge(fits)] + [search_bytes(fits, config) for config in searches])
     assert need < table_charge(refused)
     return budget_mib(need)
 
@@ -258,6 +261,49 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["verified"] and payload["config"]["heuristic"]["a"] == 1e308
 
+    @pytest.mark.parametrize("spec,code", [
+        ({"kind": "gcov", "gamma_slope": 1e308}, EXIT_USAGE),
+        ({"kind": "gcov", "gamma_slope": 1000}, EXIT_USAGE),
+        ({"kind": "gcov", "gamma_intercept": 400}, EXIT_USAGE),
+        # N=3 and remainders up to 20 leave the float range past 133.29 and -132.55
+        ({"kind": "gcov", "gamma_slope": 0, "gamma_intercept": 133.3}, EXIT_USAGE),
+        ({"kind": "gcov", "gamma_slope": 0, "gamma_intercept": 133.2}, EXIT_OK),
+        ({"kind": "gcov", "gamma_slope": 0, "gamma_intercept": -132.6}, EXIT_USAGE),
+        ({"kind": "gcov", "gamma_slope": 0, "gamma_intercept": -132.5}, EXIT_OK),
+    ])
+    def test_gcov_exponent_past_the_float_range(self, capsys, tmp_path, spec, code):
+        # refused before the first level, where var^gamma or a score would
+        # overflow, vanish or turn NaN (a RuntimeWarning fails the test)
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(spec))
+        got, out, err = run_cli(
+            capsys,
+            "solve", "--gen", "uncorr", "--sigma", "4", "--n", "3", "--len", "20",
+            "--seed", "1", "--heuristic-config", str(config), "--json",
+        )
+        assert got == code
+        if code == EXIT_OK:
+            assert json.loads(out)["verified"] and err == ""
+        else:
+            assert out == ""
+            assert err.startswith("domain error: gcov exponent ")
+            assert err.endswith(" out of the float range for remainders up to 20\n")
+
+    def test_gcov_exponent_past_the_float_range_is_a_sweep_row(self, capsys, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.setattr(HeuristicSpec, "gamma", lambda self, n_strings: 400.0)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(GOOD_GEN_ENTRY)
+        out_csv = tmp_path / "out.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--manifest", str(manifest), "--heuristics", "minlen,gcov",
+            "--out", str(out_csv), "--beta", "5",
+        )
+        assert code == EXIT_PARTIAL
+        rows = {r["heuristic"]: r for r in read_csv(out_csv) if r["dataset"] != "average"}
+        assert rows["minlen"]["status"] == "ok"
+        assert rows["gcov"]["status"].startswith("error: gcov exponent 400.0 for N=")
+
     def test_missing_seed_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", "--gen", "uncorr", "--sigma", "4", "--n", "2", "--len", "10"
@@ -299,7 +345,8 @@ class TestSolve:
         with monkeypatch.context() as mp:
             mp.setattr("lcsbeam.instance.table_dtype", lambda max_len: np.dtype(np.int32))
             int32 = table_charge(uint16)
-        need = max(table_charge(uint16), search_bytes(5, uint16))
+        minlen = BeamConfig(heuristic=HeuristicSpec(kind=HeuristicKind.MINLEN), beta=5)
+        need = max(table_charge(uint16), search_bytes(uint16, minlen))
         assert need < int32
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget_mib(need))
         argv = ("solve", "--gen", "uncorr", "--sigma", "20", "--n", "10", "--len", "1000",
@@ -422,7 +469,7 @@ class TestSweep:
         assert averages == ["minlen"]
 
     def test_refused_instance_is_a_row(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget_between_entries())
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget_between_entries("minlen", "gcov"))
         manifest = tmp_path / "m.txt"
         manifest.write_text(BUDGET_MANIFEST)
         out_csv = tmp_path / "out.csv"
@@ -602,7 +649,7 @@ class TestTiming:
         assert "skipping kanalytic" in err
 
     def test_refused_instance_is_skipped(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget_between_entries())
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget_between_entries("minlen"))
         manifest = tmp_path / "m.txt"
         manifest.write_text(BUDGET_MANIFEST)
         code, out, err = run_cli(
@@ -674,6 +721,20 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
         assert err.startswith("usage error: ")
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "timing"])
+    @pytest.mark.parametrize("names", [",", " , ", ""])
+    def test_manifest_names_no_heuristic(self, capsys, tmp_path, command, names):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(GOOD_GEN_ENTRY)
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, command, "--manifest", str(manifest), "--heuristics", names,
+            "--out", str(out_csv),
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: --heuristics names no heuristic: {names!r}\n"
         assert not out_csv.exists()
 
     def test_negative_truncate(self, capsys, tmp_path):

@@ -161,13 +161,12 @@ class TestLongInstances:
         assert report.length > 0
 
 
-# The bound charges every search the full width, the widest count rows and
-# the larger of the scorers' and the selection's temporaries, while a beam
-# that holds few distinct vectors gathers far fewer slots.  On the grid below
-# it measured 1.65x (2 strings of 5000 symbols, kanalytic) to 13.5x (26
-# letters, 2 strings, beta=100, minlen, which reads no count row) the traced
-# peak; the fixed objects of a search are the 16 KiB of its constant.
-BOUND_SLACK = 16
+# The bound charges each search what its phases allocate for its kind and
+# merge mode, but at the full width, while a beam that holds few distinct
+# vectors gathers far fewer slots.  On the grid below it measured 1.44x (200
+# strings, merging) to 6.4x (26 letters, 2 strings, beta=100, kanalytic) the
+# traced peak; the fixed objects of a search are the 16 KiB of its constant.
+BOUND_SLACK = 8
 BOUND_FIXED = 16 * 1024
 
 
@@ -176,10 +175,11 @@ class TestSearchBudget:
         # the tables take 65.6 KiB, inside the budget; the search at beta=2000 is not
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
         inst, _ = gen_uncorrelated(4, 200, 20, 1)
+        config = cfg(MINLEN, beta=2000)
         with pytest.raises(CapacityError, match="beta=2000, N=200, sigma=4") as refused:
-            beam_search(inst, cfg(MINLEN, beta=2000))
+            beam_search(inst, config)
         # the refusal states the bound search_bytes puts on that search
-        need = search_bytes(2000, inst)
+        need = search_bytes(inst, config)
         assert f": {need / 2**20:.1f} MiB needed," in str(refused.value)
         # a probe, the same search at beta_h, is checked at its own width
         assert beam_search(inst, cfg(MINLEN, beta=5)).verified
@@ -205,6 +205,8 @@ class TestSearchBudget:
             # gcov's suffix counts are uint8 rows padded to 4 bytes here, and
             # to 32 bytes for the alphabets of 20 and 26 letters above
             (3, 20, 80, 40, False),
+            # a wide beam of copies over long strings: few distinct vectors a level
+            (4, 10, 600, 200, False),
         ],
     )
     def test_bound_covers_traced_peak(self, spec, sigma, n, length, beta, merge):
@@ -219,7 +221,7 @@ class TestSearchBudget:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        bound = search_bytes(beta, inst)
+        bound = search_bytes(inst, config)
         assert peak <= bound <= BOUND_SLACK * peak + BOUND_FIXED
 
     @pytest.mark.parametrize("sigma,n,length,beta", [(26, 2, 60, 100), (20, 200, 300, 40),
@@ -237,7 +239,19 @@ class TestSearchBudget:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= search_bytes(beta, inst)
+        assert peak <= search_bytes(inst, cfg(GCOV, beta=beta))
+
+    def test_each_kind_is_charged_its_own_temporaries(self, monkeypatch):
+        # sigma=26, N=2, len=60, beta=100: the minlen search traces about 82 KiB.
+        # A bound with every kind's temporaries, 1.07 MiB, refused it under
+        # 0.75 MiB; minlen and kanalytic read no count row and fit, gcov does not
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.75")
+        inst, _ = gen_uncorrelated(26, 2, 60, 3)
+        for spec in (MINLEN, UNCORR):
+            assert search_bytes(inst, cfg(spec, beta=100)) < 0.75 * 2**20
+            assert beam_search(inst, cfg(spec, beta=100)).verified
+        with pytest.raises(CapacityError, match="beta=100, N=2, sigma=26"):
+            beam_search(inst, cfg(GCOV, beta=100))
 
 
 @st.composite

@@ -15,6 +15,7 @@ from lcsbeam.heuristics import (
     HeuristicKind,
     HeuristicSpec,
     Score,
+    gcov_gamma,
     round_half_away,
     score_gcov,
     score_gcov_batch,
@@ -27,7 +28,7 @@ from lcsbeam.heuristics import (
     window_sum,
 )
 from lcsbeam.instance import build_instance
-from lcsbeam.probability import exact_table, get_kernel
+from lcsbeam.probability import DomainError, exact_table, get_kernel
 
 UNCORR = HeuristicSpec(kind=HeuristicKind.PROB_K_ANALYTIC_UNCORR)
 CORR = HeuristicSpec(kind=HeuristicKind.PROB_K_ANALYTIC_CORR)
@@ -110,6 +111,38 @@ class TestGamma:
     def test_published_rule(self):
         assert GCOV.gamma(2) == pytest.approx(-0.0089, abs=1e-12)
         assert GCOV.gamma(200) == pytest.approx(0.7039, abs=1e-12)
+
+    # N=3 and remainders up to 20: a positive sample variance lies in [1/3, 200].
+    # For gamma > 0 the least positive score, 3^-2 / 200^gamma, leaves the normal
+    # floats first, past gamma = (708.40 - 2 ln 3) / ln 200 = 133.29; for gamma < 0
+    # the largest, 20^2.5 * 200^-gamma, past (709.78 - 2.5 ln 20) / ln 200 = 132.55
+    @pytest.mark.parametrize("gamma", [133.2, -132.5, 0.0, GCOV.gamma(3)])
+    def test_exponent_inside_the_float_range(self, gamma):
+        spec = HeuristicSpec(kind=HeuristicKind.GCOV, gamma_slope=0, gamma_intercept=gamma)
+        assert gcov_gamma(spec, 3, 20) == gamma
+        # the spread and the least and largest variance of remainders in [0, 20]
+        rem = np.array([[0, 0, 20], [0, 20, 20], [0, 0, 1], [19, 20, 20], [20, 20, 20],
+                        [0, 0, 0]], dtype=np.uint16)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            scores = score_gcov_batch(rem, np.array([1, 20, 1, 19, 20, 0]), gamma)
+        assert np.isfinite(scores).all()
+        assert (scores[:5] > 0).all() and scores[5] == 0
+
+    @pytest.mark.parametrize("slope,intercept", [(0, 133.3), (0, -132.6), (1e308, -0.0161),
+                                                 (1000, -0.0161), (0.0036, 400)])
+    def test_exponent_past_the_float_range_is_refused(self, slope, intercept):
+        spec = HeuristicSpec(kind=HeuristicKind.GCOV, gamma_slope=slope, gamma_intercept=intercept)
+        with pytest.raises(DomainError, match="out of the float range for remainders up to 20"):
+            gcov_gamma(spec, 3, 20)
+
+    @pytest.mark.parametrize("n,max_len", [(2, 65534), (10, 10000), (200, 600), (1000, 65534)])
+    def test_published_exponent_is_far_inside(self, n, max_len):
+        assert gcov_gamma(GCOV, n, max_len) == GCOV.gamma(n)
+        # five times the exponent still fits (at N=1000 and the longest uint16
+        # strings the edge is near 9 times it)
+        spec = HeuristicSpec(kind=HeuristicKind.GCOV, gamma_slope=0,
+                             gamma_intercept=5 * GCOV.gamma(n))
+        assert gcov_gamma(spec, n, max_len) == 5 * GCOV.gamma(n)
 
     def test_constants_echoed(self):
         d = UNCORR.to_dict()
