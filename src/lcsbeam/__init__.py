@@ -14,7 +14,7 @@ from .datasets import (
 from .engine import BeamConfig, RunReport, beam_search, hyper_heuristic, verify_solution
 from .heuristics import HeuristicKind, HeuristicSpec, Score, select_k
 from .instance import Instance, NodeState, build_instance, reconstruct_solution
-from .oracle import BudgetError, OracleBudget, exact_lcs2, exact_lcs3, exhaustive_lcs
+from .oracle import exact_lcs2, exact_lcs3, exhaustive_lcs
 from .probability import (
     AlphabetParams,
     CapacityError,
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphabetParams",
     "BeamConfig",
-    "BudgetError",
     "CapacityError",
     "DatasetDescriptor",
     "DatasetError",
@@ -48,7 +47,6 @@ __all__ = [
     "HeuristicSpec",
     "Instance",
     "NodeState",
-    "OracleBudget",
     "ParseError",
     "ProbKernel",
     "RunReport",

@@ -10,8 +10,9 @@ Subcommands:
     oracle   exact LCS of a small instance (spot checks)
 
 Exit codes: 0 success, 1 partial sweep failure, 2 flag/usage errors,
-3 dataset errors and allocations refused by the memory budget.  All
-generator-backed runs require an explicit --seed.
+3 dataset errors and requests over a named limit: the memory budget, or
+the oracle's work caps.  All generator-backed runs require an explicit
+--seed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .datasets import (
 from .engine import BeamConfig, RunReport, beam_search, hyper_heuristic
 from .heuristics import HeuristicKind, HeuristicSpec
 from .instance import Instance
-from .oracle import BudgetError, exact_lcs2, exact_lcs3, exhaustive_lcs
+from .oracle import exact_lcs2, exact_lcs3, exhaustive_lcs
 from .probability import (
     AlphabetParams,
     CapacityError,
@@ -108,11 +109,18 @@ def _load_from_flags(args) -> tuple[Instance, DatasetDescriptor]:
     """The instance named by the dataset flags; --family overrides its family."""
     if args.input and args.gen:
         raise UsageError("--input and --gen are mutually exclusive")
+    if not (args.input and args.format == "fasta"):
+        for flag, given in (("--format fasta", args.format == "fasta"),
+                            ("--alphabet", args.alphabet is not None),
+                            ("--truncate", args.truncate is not None)):
+            if given:
+                raise UsageError(f"{flag} needs a FASTA input (--input FILE --format fasta)")
     if args.truncate is not None and args.truncate < 0:
         raise UsageError(f"--truncate must be >= 0, got {args.truncate}")
     if args.input:
         if args.format == "fasta":
-            inst, desc = load_fasta(args.input, args.alphabet, truncate=args.truncate)
+            alphabet = "ACGT" if args.alphabet is None else args.alphabet
+            inst, desc = load_fasta(args.input, alphabet, truncate=args.truncate)
         else:
             inst, desc = load_plain(args.input)
     elif args.gen:
@@ -514,7 +522,7 @@ def cmd_oracle(args) -> int:
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="dataset file path")
     p.add_argument("--format", choices=["plain", "fasta"], default="plain")
-    p.add_argument("--alphabet", default="ACGT", help="alphabet for FASTA input")
+    p.add_argument("--alphabet", help="alphabet for FASTA input (default ACGT)")
     p.add_argument("--truncate", type=int, help="FASTA prefix truncation length")
     p.add_argument("--gen", choices=["uncorr", "corr"], help="generate an instance")
     p.add_argument("--sigma", type=int, help="generator alphabet size")
@@ -618,7 +626,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, BudgetError) as exc:
+    except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATASET
     except CapacityError as exc:

@@ -19,7 +19,7 @@ Both tables are checked against the memory budget of
 ``probability.check_budget`` before they are allocated, by
 ``check_table_budget``, which the generators also call before they draw
 a symbol; it charges both tables at the table dtype's width, which bounds
-the count table in either layout.
+the count table in either layout, and what the build holds beside them.
 
 Search nodes are cursor vectors (one index per string) plus a parent
 chain; the remainder strings are implicit.  Symbols are mapped to small
@@ -141,6 +141,7 @@ class Instance:
             slots = np.full(length + sigma, self.no_occurrence, dtype=dtype)
             slots[idx.reshape(-1)[own - sigma]] = np.arange(length, dtype=dtype)
             np.take(slots, idx, out=nxt[i, rows], mode="clip")
+            del idx, own, slots  # so the next string's are not made beside them
         nxt.setflags(write=False)
         cnt.setflags(write=False)
         self.next_table = nxt       # [i, pos, code] -> index or no_occurrence
@@ -204,19 +205,32 @@ class Instance:
 
 
 def table_budget_bytes(n_strings: int, max_len: int, sigma_size: int) -> int:
-    """The bytes `check_table_budget` charges for the two tables of such an instance.
+    """The bytes `check_table_budget` charges for building such an instance.
 
-    Both tables at sigma cells of the table dtype a row, which is what the
-    next table takes and at least what the count table takes: a padded
-    uint8 row of sigma <= FAST_TAKE_BYTES counts is narrower than 2 * sigma
-    bytes.  It reads only the shape, so a generator can check it before it
-    draws a symbol.
+    - Both tables at sigma cells of the table dtype a row, which is what
+      the next table takes and at least what the count table takes: a
+      padded uint8 row of sigma <= FAST_TAKE_BYTES counts is narrower than
+      2 * sigma bytes.
+    - Each string's int32 symbol codes and int64 symbol totals, held until
+      the tables are built, and 512 bytes of their array objects.
+    - One string's build temporaries: its int32 running count of sigma
+      cells a row and the intp index `np.take` makes from it (12 bytes a
+      cell), its intp `own` and its `slots` of the table dtype, one entry
+      a position.
+    - 8 KiB for the instance's other fixed objects.
+
+    It reads only the shape, so a generator can check it before it draws
+    a symbol.
     """
-    return 2 * n_strings * (max_len + 1) * sigma_size * table_dtype(max_len).itemsize
+    width, item = max_len + 1, table_dtype(max_len).itemsize
+    tables = 2 * n_strings * width * sigma_size * item
+    per_string = 4 * max_len + 8 * sigma_size + 512
+    one_string = 12 * width * sigma_size + (8 + item) * max_len + item * sigma_size
+    return tables + n_strings * per_string + one_string + 8192
 
 
 def check_table_budget(n_strings: int, max_len: int, sigma_size: int) -> None:
-    """CapacityError if the two tables of such an instance exceed the budget."""
+    """CapacityError if building such an instance's tables exceeds the budget."""
     check_budget(
         table_budget_bytes(n_strings, max_len, sigma_size),
         f"instance tables for N={n_strings}, max_len={max_len}, sigma={sigma_size}",

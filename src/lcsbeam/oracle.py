@@ -2,39 +2,37 @@
 exhaustive enumeration for tiny many-string cases.
 
 These are referees for the beam search, kept deliberately independent of
-the instance tables (plain string scans only)."""
+the instance tables (plain string scans only).  The DP planes are charged
+to ``probability.check_budget`` before they are allocated; two work caps
+bound the rest, and every refusal is a ``CapacityError``."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
+from .probability import CapacityError, check_budget
 
-class BudgetError(Exception):
-    """The requested oracle computation exceeds its configured budget."""
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_cells: int = 25_000_000   # DP table cells
-    max_enum: int = 1 << 20       # subsequence enumeration bound
-
-    def __post_init__(self):
-        if self.max_cells < 1 or self.max_enum < 1:
-            raise ValueError("budget caps must be positive")
+DP3_CELL_CAP = 25_000_000  # cells the 3-string DP visits, (l1+1)·(l2+1)·(l3+1)
+ENUM_LEN_CAP = 20          # longest shortest string to enumerate: 2**20 subsets
 
 
-DEFAULT_BUDGET = OracleBudget()
+def lcs2_bytes(l1: int, l2: int) -> int:
+    """What `exact_lcs2` charges: its (l1+1)·(l2+1) int32 plane, 16 bytes a
+    symbol for a row's temporaries, the codes and the witness, and 4 KiB."""
+    return 4 * (l1 + 1) * (l2 + 1) + 16 * (l1 + l2) + 4096
 
 
-def exact_lcs2(s1: str, s2: str, budget: OracleBudget = DEFAULT_BUDGET):
+def lcs3_bytes(l2: int, l3: int) -> int:
+    """What `exact_lcs3` charges: its (l2+1)·(l3+1) planes at the 21 bytes a
+    cell it holds at once, 16 bytes a symbol for the codes, and 4 KiB."""
+    return 21 * (l2 + 1) * (l3 + 1) + 16 * (l2 + l3) + 4096
+
+
+def exact_lcs2(s1: str, s2: str):
     """Classical two-string DP; returns (length, one witness)."""
-    if (len(s1) + 1) * (len(s2) + 1) > budget.max_cells:
-        raise BudgetError(
-            f"2-string DP needs {(len(s1)+1)*(len(s2)+1)} cells, cap is {budget.max_cells}"
-        )
+    check_budget(lcs2_bytes(len(s1), len(s2)), f"2-string DP of {len(s1)} x {len(s2)}")
     a = np.frombuffer(s1.encode("utf-8"), dtype=np.uint8)
     b = np.frombuffer(s2.encode("utf-8"), dtype=np.uint8)
     if a.size != len(s1) or b.size != len(s2):
@@ -65,12 +63,13 @@ def exact_lcs2(s1: str, s2: str, budget: OracleBudget = DEFAULT_BUDGET):
     return length, "".join(witness)
 
 
-def exact_lcs3(s1: str, s2: str, s3: str, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def exact_lcs3(s1: str, s2: str, s3: str) -> int:
     """Exact three-string LCS length by 3-D DP (no witness)."""
-    cells = (len(s1) + 1) * (len(s2) + 1) * (len(s3) + 1)
-    if cells > budget.max_cells:
-        raise BudgetError(f"3-string DP needs {cells} cells, cap is {budget.max_cells}")
     l2, l3 = len(s2), len(s3)
+    cells = (len(s1) + 1) * (l2 + 1) * (l3 + 1)
+    if cells > DP3_CELL_CAP:
+        raise CapacityError(f"3-string DP needs {cells} cells, cap is {DP3_CELL_CAP}")
+    check_budget(lcs3_bytes(l2, l3), f"3-string DP planes of {l2} x {l3}")
     prev = np.zeros((l2 + 1, l3 + 1), dtype=np.int32)
     eq23 = np.zeros((l2 + 1, l3 + 1), dtype=bool)
     b = np.array(list(s2))
@@ -93,17 +92,16 @@ def _is_subsequence(pattern: str, s: str) -> bool:
     return all(ch in it for ch in pattern)
 
 
-def exhaustive_lcs(strings, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def exhaustive_lcs(strings) -> int:
     """Brute-force referee: try subsequences of the shortest string,
     longest first, and return the first length common to all strings."""
     strings = list(strings)
     if not strings:
         raise ValueError("need at least one string")
     shortest = min(strings, key=len)
-    if len(shortest) > 20 or 2 ** len(shortest) > budget.max_enum:
-        raise BudgetError(
-            f"enumeration over a length-{len(shortest)} string exceeds the cap"
-        )
+    if len(shortest) > ENUM_LEN_CAP:
+        raise CapacityError(f"enumeration over a length-{len(shortest)} string exceeds "
+                            f"the cap of {ENUM_LEN_CAP}")
     others = [s for s in strings if s is not shortest]
     for size in range(len(shortest), 0, -1):
         seen = set()

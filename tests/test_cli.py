@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from lcsbeam.engine import BeamConfig, beam_search, search_bytes, verify_solutio
 from lcsbeam.heuristics import HeuristicKind, HeuristicSpec
 from lcsbeam.datasets import gen_uncorrelated
 from lcsbeam.instance import table_budget_bytes
+from lcsbeam.oracle import lcs2_bytes, lcs3_bytes
 from lcsbeam.probability import CapacityError
 
 WORKED_FILE = "2 3\nABC\n8 BCABAABC\n8 CAACBBAA\n"
@@ -679,6 +682,39 @@ class TestOracleCommand:
         assert "length: 2" in out
         assert "method: enum" in out
 
+    def test_fasta_flags(self, capsys, tmp_path):
+        # ACGT unless --alphabet says otherwise; --truncate cuts each record first
+        path = tmp_path / "x.fa"
+        path.write_text(">a\nACGTAC\n>b\nCAGTTA\n")
+        for extra in ([], ["--alphabet", "TGCA"]):
+            code, out, _ = run_cli(capsys, "oracle", "--input", str(path), "--format", "fasta",
+                                   "--truncate", "3", *extra)
+            assert code == EXIT_OK
+            assert "length: 2" in out
+        code, _, err = run_cli(capsys, "oracle", "--input", str(path), "--format", "fasta",
+                               "--alphabet", "ACG")
+        assert code == EXIT_DATASET
+        assert err.startswith("dataset error: ")
+
+    @pytest.mark.parametrize(
+        "n,length,budget,refusal",
+        [
+            (2, 4000, "1", "2-string DP of 4000 x 4000: 61.2 MiB needed, budget is 1.0 MiB"),
+            (3, 100, "0.1", "3-string DP planes of 100 x 100: 0.2 MiB needed, budget is 0.1 MiB"),
+            (3, 300, None, "3-string DP needs 27270901 cells, cap is 25000000"),
+            (4, 21, None, "enumeration over a length-21 string exceeds the cap of 20"),
+        ],
+    )
+    def test_refusal_is_capacity_error(self, capsys, monkeypatch, n, length, budget, refusal):
+        if budget is None:
+            monkeypatch.delenv("LCSBEAM_TABLE_BUDGET_MB", raising=False)
+        else:
+            monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", budget)
+        code, out, err = run_cli(capsys, "oracle", "--gen", "uncorr", "--sigma", "4", "--n",
+                                 str(n), "--len", str(length), "--seed", "1")
+        assert (code, out) == (EXIT_DATASET, "")
+        assert err.startswith(f"capacity error: {refusal}")
+
 
 class TestUsageErrors:
     """Bad values of generator and width flags exit 2 with a usage error."""
@@ -746,6 +782,26 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert err == "usage error: --truncate must be >= 0, got -2\n"
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "ksweep", "oracle"])
+    @pytest.mark.parametrize(
+        "flag,extra,source",
+        [
+            ("--format fasta", ["--format", "fasta"], "gen"),
+            ("--alphabet", ["--alphabet", "XYZ"], "plain"),
+            ("--truncate", ["--truncate", "1"], "plain"),
+            ("--truncate", ["--truncate", "0"], "gen"),
+        ],
+    )
+    def test_fasta_flag_without_fasta_input(self, capsys, tmp_path, command, flag, extra,
+                                            source):
+        path = tmp_path / "worked.txt"
+        path.write_text(WORKED_FILE)
+        argv = flag_argv(GEN_FLAGS) if source == "gen" else ["--input", str(path)]
+        argv += ["--k-range", "1:2"] if command == "ksweep" else []
+        code, out, err = run_cli(capsys, command, *argv, *extra)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: {flag} needs a FASTA input (--input FILE --format fasta)\n"
 
     def test_timing_repeats(self, capsys, tmp_path):
         manifest = tmp_path / "m.txt"
@@ -913,17 +969,101 @@ def test_exit_code_matches_its_class(
             else:
                 expected = EXIT_OK if instance_ok and rate_ok else EXIT_PARTIAL
         argv += ["--beta", str(beta)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own refusals
-                code = exc.code
+        prefix = {EXIT_USAGE: "usage error: ", EXIT_DATASET: "dataset error: "}.get(expected)
+        assert_exit_class(argv, expected, prefix)
+
+
+def assert_exit_class(argv, expected, prefix=None):
+    """In-process `main(argv)` exits `expected`, and a failure's stderr starts with `prefix`.
+
+    No exception escapes: argparse's own refusals raise SystemExit with
+    code 2, and everything else is a return value.  A success writes
+    nothing on stderr.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own refusals
+            code = exc.code
     assert code in (EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_DATASET)
     assert code == expected, err.getvalue()
-    if code == EXIT_USAGE:
-        assert err.getvalue().startswith("usage error: ")
-    if code == EXIT_DATASET:
-        assert err.getvalue().startswith("dataset error: ")
     if code == EXIT_OK:
         assert err.getvalue() == ""
+    elif prefix is not None:
+        assert err.getvalue().startswith(prefix), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    length=st.integers(0, 80),
+    sigma=st.integers(1, 4),
+    method=st.sampled_from(["auto", "dp2", "dp3", "enum"]),
+    seed=st.integers(0, 2**32),
+    scale=st.sampled_from([0.5, 0.99, 1.0, 1.01, 2.0]),
+)
+def test_oracle_exit_code_matches_its_class(n, length, sigma, method, seed, scale):
+    """`oracle` on generated instances, under a budget on either side of the
+    larger of two charges: the instance tables' and the planes' of the DP
+    that runs.
+
+    The tables are charged first; then a method that does not fit the
+    string count is a usage error (2); a DP whose planes are over the
+    budget, and an enumeration over more than 20 symbols, are capacity
+    errors (3).  The tables' charge outweighs the 2-string plane's up to
+    35-44 symbols, so lengths run past that.
+    """
+    runs = {2: "dp2", 3: "dp3"}.get(n, "enum") if method == "auto" else method
+    tables = table_budget_bytes(n, length, sigma)
+    planes = {"dp2": lcs2_bytes(length, length), "dp3": lcs3_bytes(length, length)}.get(runs, 0)
+    budget = scale * max(tables, planes)
+    if tables > budget:
+        expected, prefix = EXIT_DATASET, "capacity error: instance tables for "
+    elif (runs, n) in (("dp2", 3), ("dp2", 4), ("dp3", 2), ("dp3", 4)):
+        expected, prefix = EXIT_USAGE, "usage error: "
+    elif planes > budget:
+        expected, prefix = EXIT_DATASET, {"dp2": "capacity error: 2-string DP of ",
+                                          "dp3": "capacity error: 3-string DP planes of "}[runs]
+    elif runs == "enum" and length > 20:
+        expected, prefix = EXIT_DATASET, "capacity error: enumeration over "
+    else:
+        expected, prefix = EXIT_OK, None
+    argv = ["oracle", "--gen", "uncorr", "--sigma", str(sigma), "--n", str(n),
+            "--len", str(length), "--seed", str(seed), "--method", method]
+    with mock.patch.dict(os.environ, {"LCSBEAM_TABLE_BUDGET_MB": repr(budget / 2**20)}):
+        assert_exit_class(argv, expected, prefix)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    sigma=st.integers(-1, 30),
+    n=st.integers(-1, 60),
+    k_range=st.one_of(
+        st.tuples(st.integers(-2, 70), st.integers(-2, 70)).map(lambda r: f"{r[0]}:{r[1]}"),
+        st.sampled_from(["", "3", ":", "1:2:3", "a:b", "1.5:2"]),
+    ),
+    method=st.sampled_from(["table", "closed", "closed2", "beta"]),
+    q=st.booleans(),
+)
+def test_probe_exit_code_matches_its_class(sigma, n, k_range, method, q):
+    """`probe` over valid and invalid alphabets, string lengths and k ranges.
+
+    A range that is not A:B with 0 <= A <= B is a usage error; an alphabet
+    below 1 letter, a negative n, and q or the Beta form where the single
+    letter alphabet leaves them undefined (1 <= k <= n) are domain errors.
+    Both exit 2.
+    """
+    try:
+        lo, hi = (int(part) for part in k_range.split(":"))
+    except ValueError:
+        lo, hi = 1, 0  # not A:B
+    undefined = sigma == 1 and (q or method == "beta") and max(lo, 1) <= min(hi, n)
+    if not 0 <= lo <= hi:
+        expected, prefix = EXIT_USAGE, "usage error: "
+    elif sigma < 1 or n < 0 or undefined:
+        expected, prefix = EXIT_USAGE, "domain error: "
+    else:
+        expected, prefix = EXIT_OK, None
+    argv = ["probe", f"--sigma={sigma}", f"--n={n}", f"--k-range={k_range}", "--method", method]
+    assert_exit_class(argv + ["--q"] * q, expected, prefix)

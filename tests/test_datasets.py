@@ -250,7 +250,7 @@ class TestGenerators:
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.3")
         with pytest.raises(
             CapacityError,
-            match=r"instance tables for N=10, max_len=5000, sigma=2: 0\.4 MiB needed, "
+            match=r"instance tables for N=10, max_len=5000, sigma=2: 0\.7 MiB needed, "
             r"budget is 0\.3 MiB",
         ):
             generate()

@@ -172,7 +172,7 @@ BOUND_FIXED = 16 * 1024
 
 class TestSearchBudget:
     def test_search_over_budget_is_refused(self, monkeypatch):
-        # the tables take 65.6 KiB, inside the budget; the search at beta=2000 is not
+        # the tables are charged 196.7 KiB, inside the budget; the search at beta=2000 is not
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1")
         inst, _ = gen_uncorrelated(4, 200, 20, 1)
         config = cfg(MINLEN, beta=2000)

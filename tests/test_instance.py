@@ -3,6 +3,7 @@ worked example S = {"BCABAABC", "CAACBBAA"} over {A, B, C}."""
 
 import random
 import string
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -11,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsbeam.instance import FAST_TAKE_BYTES, NodeState, build_instance, reconstruct_solution
+from lcsbeam.instance import (
+    FAST_TAKE_BYTES,
+    NodeState,
+    build_instance,
+    reconstruct_solution,
+    table_budget_bytes,
+)
 from lcsbeam.oracle import exact_lcs2, exact_lcs3
 from lcsbeam.probability import CapacityError
 
@@ -95,15 +102,16 @@ class TestBuild:
         assert inst.suffix_count(1, 0, "A") == 1
 
     def test_tables_over_budget_are_refused(self, monkeypatch):
-        # 2 tables x 10 strings x 5001 positions x 2 symbols x 2 bytes (uint16)
+        # 2 tables x 10 strings x 5001 positions x 2 symbols x 2 bytes (uint16),
+        # the codes of 10 strings and the temporaries of one: 0.75 MiB
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.3")
         with pytest.raises(
             CapacityError,
-            match=r"instance tables for N=10, max_len=5000, sigma=2: 0\.4 MiB needed, "
+            match=r"instance tables for N=10, max_len=5000, sigma=2: 0\.7 MiB needed, "
             r"budget is 0\.3 MiB",
         ):
             build_instance("AB", ["AB" * 2500] * 10)
-        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.5")
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.8")
         assert build_instance("AB", ["AB" * 2500] * 10).max_len == 5000
 
     def test_rejects_duplicate_alphabet(self):
@@ -199,6 +207,35 @@ class TestCountTable:
         _, cnt = loop_tables(inst)
         assert np.array_equal(inst.suffix_table[..., :sigma], cnt)
         assert int(cnt.max()) == largest
+
+
+class TestTableCharge:
+    @pytest.mark.parametrize(
+        "n,length,sigma",
+        [
+            (2, 20000, 4),
+            (3, 30000, 2),
+            (2, 70000, 4),  # int32 tables and counts
+            (2, 3000, 26),  # uint8 count rows padded to 32 bytes
+            (10, 10000, 4),
+            (200, 600, 20),
+        ],
+    )
+    def test_charge_covers_traced_peak(self, n, length, sigma):
+        # besides the two tables the build holds every string's codes and one
+        # string's temporaries; the charge lies between the traced peak and twice it
+        rng = random.Random(length)
+        alphabet = string.ascii_letters[:sigma]
+        strings = ["".join(rng.choices(alphabet, k=length)) for _ in range(n)]
+        build_instance(alphabet, strings)  # warm
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            build_instance(alphabet, strings)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= table_budget_bytes(n, length, sigma) <= 2 * peak
 
 
 class TestTableDtype:

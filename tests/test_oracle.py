@@ -3,16 +3,12 @@ in-test enumeration over subsequences."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from lcsbeam.oracle import (
-    BudgetError,
-    OracleBudget,
-    exact_lcs2,
-    exact_lcs3,
-    exhaustive_lcs,
-)
+from lcsbeam.oracle import exact_lcs2, exact_lcs3, exhaustive_lcs, lcs2_bytes, lcs3_bytes
+from lcsbeam.probability import CapacityError
 
 
 def brute_force(strings):
@@ -51,9 +47,10 @@ class TestExactLcs2:
     def test_empty(self):
         assert exact_lcs2("", "ABC")[0] == 0
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            exact_lcs2("A" * 100, "A" * 100, OracleBudget(max_cells=100))
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "0.001")
+        with pytest.raises(CapacityError):
+            exact_lcs2("A" * 100, "A" * 100)
 
     def test_against_brute_force(self):
         rng = random.Random(17)
@@ -78,8 +75,8 @@ class TestExactLcs3:
         assert exact_lcs3("ABAB", "BABA", "ABBA") == 3
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
-            exact_lcs3("A" * 50, "A" * 50, "A" * 50, OracleBudget(max_cells=1000))
+        with pytest.raises(CapacityError):
+            exact_lcs3("A" * 300, "A" * 300, "A" * 300)
 
     def test_against_brute_force(self):
         rng = random.Random(23)
@@ -109,10 +106,8 @@ class TestExhaustive:
         assert exhaustive_lcs(["A", "B"]) == 0
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(CapacityError):
             exhaustive_lcs(["AB" * 11, "BA" * 11])
-        with pytest.raises(BudgetError):
-            exhaustive_lcs(["ABCABC", "CBACBA"], OracleBudget(max_enum=4))
 
     def test_referee_agreement_with_dp(self):
         rng = random.Random(31)
@@ -126,3 +121,74 @@ class TestExhaustive:
                 for _ in range(3)
             ]
             assert exhaustive_lcs(strings) == exact_lcs3(*strings)
+
+
+def traced_peak(solve, *strings):
+    """The traced peak of one warm call, over what was traced before it."""
+    solve(*strings)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solve(*strings)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def random_strings(seed, alphabet, *lengths):
+    rng = random.Random(seed)
+    return ["".join(rng.choices(alphabet, k=length)) for length in lengths]
+
+
+class TestLimits:
+    """Memory goes through the table budget; the 3-string DP's cells and the
+    enumeration's shortest string are capped as work."""
+
+    @pytest.mark.parametrize(
+        "lengths,alphabet",
+        [((0, 0), "ACGT"), ((0, 50), "ACGT"), ((50, 0), "ACGT"), ((100, 100), "ACGT"),
+         ((20, 300), "ACGT"), ((300, 20), "ACGT"), ((1000, 3000), "ACGT"),
+         ((3000, 1000), "ACGT"),
+         ((300, 300), "aéxø")],  # non-ASCII: int32 codes
+    )
+    def test_lcs2_charge_covers_traced_peak(self, lengths, alphabet):
+        # the int32 plane is most of the peak: the charge lies between the
+        # traced peak and twice it, plus the 4 KiB of fixed objects
+        peak = traced_peak(exact_lcs2, *random_strings(7, alphabet, *lengths))
+        assert peak <= lcs2_bytes(*lengths) <= 2 * peak + 4096
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [(0, 0, 0), (5, 0, 30), (5, 30, 0), (10, 10, 10), (50, 50, 50), (100, 200, 100),
+         (300, 30, 300), (2, 1000, 0), (20, 1000, 1000)],
+    )
+    def test_lcs3_charge_covers_traced_peak(self, lengths):
+        peak = traced_peak(exact_lcs3, *random_strings(11, "ACGT", *lengths))
+        assert peak <= lcs3_bytes(*lengths[1:]) <= 2 * peak + 4096
+
+    @pytest.mark.parametrize(
+        "solve,lengths,charge,what",
+        [(exact_lcs2, (1000, 3000), lcs2_bytes(1000, 3000), "2-string DP of 1000 x 3000"),
+         (exact_lcs3, (40, 300, 200), lcs3_bytes(300, 200), "3-string DP planes of 300 x 200")],
+    )
+    def test_planes_are_charged_to_the_table_budget(self, monkeypatch, solve, lengths, charge,
+                                                    what):
+        strings = random_strings(5, "ACGT", *lengths)
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", repr((charge - 1) / 2**20))
+        with pytest.raises(CapacityError, match=f"^{what}: {charge / 2**20:.1f} MiB needed, "):
+            solve(*strings)
+        monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", repr(charge / 2**20))
+        solve(*strings)
+
+    def test_dp3_cell_cap(self):
+        # 250 x 400 x 250 cells is the cap itself
+        assert exact_lcs3("A" * 249, "A" * 399, "A" * 249) == 249
+        with pytest.raises(CapacityError, match="^3-string DP needs 25100000 cells, "
+                                                "cap is 25000000$"):
+            exact_lcs3("A" * 250, "A" * 399, "A" * 249)
+
+    def test_enumeration_cap(self):
+        assert exhaustive_lcs(["A" * 20, "A" * 21]) == 20
+        with pytest.raises(CapacityError, match="^enumeration over a length-21 string exceeds "
+                                                "the cap of 20$"):
+            exhaustive_lcs(["A" * 21, "A" * 22])
