@@ -20,6 +20,8 @@ Both tables are checked against the memory budget of
 ``check_table_budget``, which the generators also call before they draw
 a symbol; it charges both tables at the table dtype's width, which bounds
 the count table in either layout, and what the build holds beside them.
+The build's largest temporaries, one string's running index and slots,
+are made once for the longest string and reused for every string.
 
 Search nodes are cursor vectors (one index per string) plus a parent
 chain; the remainder strings are implicit.  Symbols are mapped to small
@@ -124,6 +126,11 @@ class Instance:
         nxt = np.full((n, width, sigma), self.no_occurrence, dtype=dtype)
         # the padding columns stay 0, which changes no minimum and no sum
         cnt = np.zeros((n, width, count_cols), dtype=count_dtype)
+        # one string's running index and slots, made once for the longest
+        # string and reused: a fresh array of that size page-faults again for
+        # every string.  The index is intp, so `np.take` reads it without a copy
+        idx_cells = np.empty((width, sigma), dtype=np.intp)
+        slot_cells = np.empty(self.max_len + sigma, dtype=dtype)
         for i, (string_codes, totals) in enumerate(zip(codes, tallies)):
             length = len(string_codes)
             rows = slice(0, length + 1)  # rows past the string keep the sentinel and 0
@@ -132,16 +139,22 @@ class Instance:
             # idx[0, c].  Row p + 1 of `idx` adds 1 at the symbol of position
             # p, so after the running sum idx[p, c] is the slot of c's next
             # occurrence at or after p, and idx[length, c] is c's sentinel slot.
-            idx = np.zeros((length + 1, sigma), dtype=np.int32)
+            idx = idx_cells[rows]
+            idx.fill(0)
             np.cumsum(totals[:-1] + 1, out=idx[0, 1:])
-            own = np.arange(sigma, (length + 1) * sigma, sigma) + string_codes
-            idx.reshape(-1)[own] = 1
-            np.cumsum(idx, axis=0, dtype=np.int32, out=idx)
-            np.subtract(idx[length], idx, out=cnt[i, rows, :sigma], casting="unsafe")
-            slots = np.full(length + sigma, self.no_occurrence, dtype=dtype)
-            slots[idx.reshape(-1)[own - sigma]] = np.arange(length, dtype=dtype)
+            own = np.arange(0, length * sigma, sigma, dtype=np.intp)  # cell (p, symbol of p)
+            own += string_codes
+            idx.reshape(-1)[sigma:][own] = 1
+            np.cumsum(idx, axis=0, out=idx)
+            # in the count dtype: a slot may wrap there, but the difference of
+            # two, a count, does not, and cast inputs buffer less than a cast output
+            np.subtract(idx[length], idx, out=cnt[i, rows, :sigma], dtype=count_dtype,
+                        casting="unsafe")
+            own = idx.reshape(-1).take(own)  # each position's slot
+            slots = slot_cells[: length + sigma]
+            slots.fill(self.no_occurrence)
+            slots[own] = np.arange(length, dtype=dtype)
             np.take(slots, idx, out=nxt[i, rows], mode="clip")
-            del idx, own, slots  # so the next string's are not made beside them
         nxt.setflags(write=False)
         cnt.setflags(write=False)
         self.next_table = nxt       # [i, pos, code] -> index or no_occurrence
@@ -213,10 +226,13 @@ def table_budget_bytes(n_strings: int, max_len: int, sigma_size: int) -> int:
       2 * sigma bytes.
     - Each string's int32 symbol codes and int64 symbol totals, held until
       the tables are built, and 512 bytes of their array objects.
-    - One string's build temporaries: its int32 running count of sigma
-      cells a row and the intp index `np.take` makes from it (12 bytes a
-      cell), its intp `own` and its `slots` of the table dtype, one entry
-      a position.
+    - One string's build temporaries.  The running index, intp with sigma
+      cells a row (8 bytes a cell), and the slots, one entry of the table
+      dtype a position and a symbol, are made once for the longest string
+      and reused.  Beside them the build holds at most two intp vectors
+      of one entry a position (each position's cell, then its slot), or
+      one of them and the buffers numpy casts the count subtraction's two
+      inputs through, each of at most 8192 entries of the table dtype.
     - 8 KiB for the instance's other fixed objects.
 
     It reads only the shape, so a generator can check it before it draws
@@ -225,7 +241,9 @@ def table_budget_bytes(n_strings: int, max_len: int, sigma_size: int) -> int:
     width, item = max_len + 1, table_dtype(max_len).itemsize
     tables = 2 * n_strings * width * sigma_size * item
     per_string = 4 * max_len + 8 * sigma_size + 512
-    one_string = 12 * width * sigma_size + (8 + item) * max_len + item * sigma_size
+    cells = width * sigma_size
+    one_string = (8 * cells + item * (max_len + sigma_size)
+                  + max(16 * max_len, 8 * max_len + 2 * item * min(cells, 8192)))
     return tables + n_strings * per_string + one_string + 8192
 
 

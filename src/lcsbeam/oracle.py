@@ -25,9 +25,10 @@ def lcs2_bytes(l1: int, l2: int) -> int:
 
 
 def lcs3_bytes(l2: int, l3: int) -> int:
-    """What `exact_lcs3` charges: its (l2+1)·(l3+1) planes at the 21 bytes a
-    cell it holds at once, 16 bytes a symbol for the codes, and 4 KiB."""
-    return 21 * (l2 + 1) * (l3 + 1) + 16 * (l2 + l3) + 4096
+    """What `exact_lcs3` charges: its (l2+1)·(l3+1) planes at the 13 bytes a
+    cell it holds (three int32 planes and a bool mask), 16 bytes a symbol
+    for the codes, and 4 KiB."""
+    return 13 * (l2 + 1) * (l3 + 1) + 16 * (l2 + l3) + 4096
 
 
 def exact_lcs2(s1: str, s2: str):
@@ -70,20 +71,30 @@ def exact_lcs3(s1: str, s2: str, s3: str) -> int:
     if cells > DP3_CELL_CAP:
         raise CapacityError(f"3-string DP needs {cells} cells, cap is {DP3_CELL_CAP}")
     check_budget(lcs3_bytes(l2, l3), f"3-string DP planes of {l2} x {l3}")
+    # the previous and current planes, the diagonal step and the match mask,
+    # made once and written in place for each symbol of s1, each by a step
+    # that numpy runs without a buffer (a 1-D shift, a masked copy, a
+    # masked maximum over whole planes)
     prev = np.zeros((l2 + 1, l3 + 1), dtype=np.int32)
-    eq23 = np.zeros((l2 + 1, l3 + 1), dtype=bool)
+    cur = np.empty_like(prev)
+    take = np.zeros_like(prev)
+    eq23 = np.zeros((l2 + 1, l3 + 1), dtype=bool)  # row and column 0 stay False
+    match = eq23[1:, 1:]
+    # take[i, j] = prev[i-1, j-1] + 1 is a shift by l3 + 2 cells of the flat
+    # planes; column 0 gets the last cell of row i-2, which the mask never reads
+    shift = l3 + 2
     b = np.array(list(s2))
     c = np.array(list(s3)) if s3 else np.array([], dtype="<U1")
     for ch1 in s1:
         if l2 and l3:
-            eq23[1:, 1:] = (b == ch1)[:, None] & (c == ch1)[None, :]
-        cur = prev.copy()
-        take = np.zeros_like(prev)
-        take[1:, 1:] = prev[:-1, :-1] + 1
-        cur = np.where(eq23, np.maximum(cur, take), cur)
+            match.fill(False)
+            np.copyto(match, c == ch1, where=(b == ch1)[:, None])
+        np.add(prev.reshape(-1)[:-shift], 1, out=take.reshape(-1)[shift:])
+        np.copyto(cur, prev)
+        np.maximum(cur, take, out=cur, where=eq23)
         np.maximum.accumulate(cur, axis=0, out=cur)
         np.maximum.accumulate(cur, axis=1, out=cur)
-        prev = cur
+        prev, cur = cur, prev
     return int(prev[l2, l3])
 
 

@@ -37,6 +37,13 @@ remainder.  A window that starts above k is seeded with the binomial
 tail at its first n, so its cost does not grow with how far that n is
 from k.
 
+Only numpy is imported here.  ``ProbKernel`` reads ln Gamma at the
+integers from ``log_gamma_ints``, a port of the cephes ``lgam`` that
+scipy's ``gammaln`` runs and bitwise equal to it, so a solve never loads
+scipy.  The closed-form sum of q and the Beta densities call scipy's
+``gammaln`` itself, imported when they run: ``cross_validate`` and the
+tests thus check the kernel against a log-gamma it does not share.
+
 Each route has one evaluation and returns a plain value.  The closed
 form sums q as a log-sum and forms 1 - beta^(n-k+1) q as -expm1 of a
 logarithm, so it keeps its digits where beta^(n-k+1) underflows and q
@@ -52,9 +59,9 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class CapacityError(Exception):
@@ -249,7 +256,9 @@ def exact_float_grid(sigma_size: int, n_max: int) -> np.ndarray:
 #
 # Each route is one function of (k, n, params) that returns the unclamped
 # value over a vector of n >= k >= 1 on a multi-letter alphabet.  Every
-# log-gamma comes from scipy's `gammaln`, as in `ProbKernel`.
+# log-gamma comes from scipy's `gammaln`, imported where it is called, so
+# these routes check `ProbKernel` against a log-gamma it does not share
+# and a solve, which reads only the kernel, never imports scipy.
 
 _BETA_FORM = "the Beta-density form"
 
@@ -260,6 +269,8 @@ def _log_q_row(k: int, n: np.ndarray, params: AlphabetParams) -> np.ndarray:
     The i = 0 term is exactly 0, so q(1, n) is exactly 1 and the largest
     term, which the exps are scaled by, is finite.
     """
+    from scipy.special import gammaln
+
     i = np.arange(k)[:, None]
     terms = (
         i * math.log(params.alpha)
@@ -315,6 +326,8 @@ def beta_density(x: float, a, b):
         raise DomainError(f"density evaluated at x={x}, need 0 < x < 1")
     if np.any(np.less_equal(a, 0)) or np.any(np.less_equal(b, 0)):
         raise DomainError(f"shape parameters must be positive, got a={a} b={b}")
+    from scipy.special import gammaln
+
     log_norm = gammaln(a) + gammaln(b) - gammaln(np.add(a, b))
     return np.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_norm)
 
@@ -494,6 +507,50 @@ def cross_validate(
 # row kernel for the search engine
 # --------------------------------------------------------------------------
 
+# cephes `lgam`, which scipy's `gammaln` runs: ln sqrt(2 pi), and the
+# correction polynomials in 1/x^2 of its Stirling series below x = 1000
+# and from there on
+_LN_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+_STIRLING_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                   0.0833333333333333333333)
+
+
+def log_gamma_ints(n: int) -> np.ndarray:
+    """ln Gamma(j) for j = 0..n-1, bitwise what scipy's `gammaln` returns.
+
+    A port of cephes `lgam` at the integers: inf at 0, ln (j-1)! below 13,
+    and from 13 the Stirling series (x - 1/2) ln x - x + ln sqrt(2 pi)
+    plus its correction over x, the 5-term polynomial below 1000, the
+    3-term one up to 1e8 and none past it.  The arithmetic runs in numpy
+    in cephes' order, each step correctly rounded as in C, but every ln x
+    is `math.log`, the libm log cephes calls: with numpy's vectorised log,
+    which is not libm's, the port differed from `gammaln` on 48 integers
+    below 2**20 (numpy 2.4), and `math.lgamma` is another algorithm.
+    """
+    out = np.empty(n)
+    small = [math.inf] + [math.log(math.factorial(j - 1)) for j in range(1, 13)]
+    out[:13] = small[:n]
+    if n <= 13:
+        return out
+    x = np.arange(13, n, dtype=np.float64)
+    q = out[13:]
+    np.multiply(x - 0.5, np.fromiter(map(math.log, x.tolist()), np.float64, len(x)), out=q)
+    q -= x
+    q += _LN_SQRT_2PI
+    inv_sq = 1.0 / (x * x)
+    cut, stop = min(n, 1000) - 13, min(n, 10**8 + 1) - 13
+    for coeffs, part in ((_STIRLING, slice(0, cut)), (_STIRLING_LARGE, slice(cut, stop))):
+        corr = np.full(len(inv_sq[part]), coeffs[0])
+        for c in coeffs[1:]:  # Horner, as cephes' `polevl`
+            corr *= inv_sq[part]
+            corr += c
+        corr /= x[part]
+        q[part] += corr
+    return out
+
 
 class ProbKernel:
     """ln p(k, n) for one (alphabet size, n_max) pair, one k row at a time.
@@ -501,12 +558,18 @@ class ProbKernel:
     A row comes from the closed form p(k, n) = P(Binomial(n, alpha) >= k):
     the k-th match falls at some position m <= n, which has probability
     C(m-1, k-1) alpha^k beta^(m-k), so ln p(k, n) is a running log-sum of
-    those terms over m = k..n.  A kernel holds only its parameters and an
-    O(n_max) log-gamma lookup and keeps nothing between calls, so each row
-    is a pure function of (k, window) and memory does not grow with n_max
-    squared.  Next to the log-gamma lookup it holds two more: j ln beta and
+    those terms over m = k..n.  A kernel holds only its parameters and
+    O(n_max) lookups and keeps nothing between calls, so each row is a pure
+    function of (k, window) and memory does not grow with n_max squared.
+    The lookups are ln Gamma(j) for j = 0..n_max+1 (`log_gamma_ints`,
+    bitwise scipy's `gammaln` without importing scipy), j ln beta and
     j ln(alpha / beta), the products a row and a tail would otherwise form
-    afresh from an `arange`.
+    afresh from an `arange`.  The log-gamma lookup is built by the first
+    row that reads it, not by the constructor: it costs about ten times
+    scipy's vectorised call, and a kernel that is built but never asked
+    for a row should not pay it.  Threads that race to that first build
+    each make the whole array before they store it, and the arrays are
+    equal, so every row reads a complete lookup.
     """
 
     def __init__(self, sigma_size: int, n_max: int):
@@ -514,12 +577,16 @@ class ProbKernel:
             raise DomainError(f"n_max must be >= 0, got {n_max}")
         self.params = AlphabetParams(sigma_size)
         self.n_max = n_max
-        j = np.arange(n_max + 2)
-        self._gammaln = gammaln(j)  # [j] = ln (j-1)!
         if not self.params.degenerate:  # ln beta is -inf for a single letter
             a, b = self.params.alpha, self.params.beta
-            self._j_ln_beta = j[: n_max + 1] * math.log(b)
-            self._j_ln_ratio = j[: n_max + 1] * math.log(a / b)
+            j = np.arange(n_max + 1)
+            self._j_ln_beta = j * math.log(b)
+            self._j_ln_ratio = j * math.log(a / b)
+
+    @cached_property
+    def _gammaln(self) -> np.ndarray:
+        """[j] = ln (j-1)! for j = 0..n_max+1, built on first use."""
+        return log_gamma_ints(self.n_max + 2)
 
     def log_p(self, k: int, n: int) -> float:
         """ln p(k, n); DomainError unless k >= 0 and 0 <= n <= n_max."""

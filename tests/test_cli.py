@@ -700,7 +700,7 @@ class TestOracleCommand:
         "n,length,budget,refusal",
         [
             (2, 4000, "1", "2-string DP of 4000 x 4000: 61.2 MiB needed, budget is 1.0 MiB"),
-            (3, 100, "0.1", "3-string DP planes of 100 x 100: 0.2 MiB needed, budget is 0.1 MiB"),
+            (3, 150, "0.1", "3-string DP planes of 150 x 150: 0.3 MiB needed, budget is 0.1 MiB"),
             (3, 300, None, "3-string DP needs 27270901 cells, cap is 25000000"),
             (4, 21, None, "enumeration over a length-21 string exceeds the cap of 20"),
         ],

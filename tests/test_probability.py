@@ -35,6 +35,7 @@ from lcsbeam.probability import (
     exact_float_grid,
     exact_table,
     get_kernel,
+    log_gamma_ints,
     log_q_value,
     prob_beta_sum,
     prob_closed,
@@ -555,16 +556,23 @@ class TestKernelRows:
             kernel.log_row(ks[0], -1)
 
     def test_kernel_keeps_no_state(self):
+        # the first row adds the log-gamma lookup and nothing else; no later
+        # call adds or replaces an attribute
         kernel = ProbKernel(4, 500)
         before = dict(vars(kernel))
-        for k, n_hi, n_lo in [(3, 400, 0), (3, 400, 10), (3, 500, 100), (0, None, 0),
-                              (250, 300, 260), (600, None, 0)]:
+        kernel.log_row(3, 400, 0)
+        first = dict(vars(kernel))
+        assert first.keys() - before.keys() == {"_gammaln"}
+        assert all(first[name] is before[name] for name in before)
+        assert first["_gammaln"].tobytes() == log_gamma_ints(502).tobytes()
+        for k, n_hi, n_lo in [(3, 400, 10), (3, 500, 100), (0, None, 0),
+                              (250, 300, 260), (600, None, 0), (3, 400, 0)]:
             kernel.log_row(k, n_hi, n_lo)
         kernel.log_p(7, 300)
         kernel.p(2, 3)
         after = vars(kernel)
-        assert after.keys() == before.keys()
-        assert all(after[name] is before[name] for name in before)
+        assert after.keys() == first.keys()
+        assert all(after[name] is first[name] for name in first)
 
     def test_shared_kernel_across_threads(self):
         kernel = get_kernel(9, 2000)
@@ -811,3 +819,18 @@ class TestKernelLookups:
                                       label="window"))
         assert (kernel.log_row(k, n_hi, n_lo).tobytes()
                 == former_log_row(kernel, k, n_hi, n_lo).tobytes())
+
+
+class TestLogGammaInts:
+    """The kernel's log-gamma lookup is bitwise scipy's `gammaln` at the
+    integers.  Both call the platform's libm `log`, so a platform where
+    they part fails here rather than flipping near-ties in a search."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 13, 14, 1000, 1001, 2**17 + 1])
+    def test_equals_scipy_bitwise(self, n):
+        from scipy.special import gammaln
+
+        got = log_gamma_ints(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        want = gammaln(np.arange(n, dtype=np.float64))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -111,3 +111,27 @@ def test_undecodable_manifest_entry_is_partial_failure(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("warning: skipping entry: cannot read "), proc.stderr
     assert [row.split(",")[1] for row in proc.stdout.splitlines()] == ["heuristic", "minlen"]
+
+
+SOLVE = ["solve", "--gen", "uncorr", "--sigma", "4", "--n", "3", "--len", "60", "--seed", "1",
+         "--json", "--heuristic"]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["import lcsbeam", "import lcsbeam.cli"]
+    + [f"from lcsbeam import cli; assert cli.main({SOLVE + [h]!r}) == 0"
+       for h in ("minlen", "kguess", "kanalytic", "gcov", "hh")],
+    ids=["import", "import-cli", "minlen", "kguess", "kanalytic", "gcov", "hh"],
+)
+def test_solve_path_loads_no_scipy(tmp_path, statement):
+    # the kernel's log-gamma lookup is numpy's own, so neither an import nor a
+    # solve of any heuristic loads scipy, which only the closed-form routes use
+    check = "loaded = [m for m in sys.modules if m.startswith('scipy')]; assert not loaded, loaded"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("LCSBEAM_TABLE_BUDGET_MB", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; {statement}; {check}"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
