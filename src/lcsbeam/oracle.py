@@ -2,13 +2,14 @@
 exhaustive enumeration for tiny many-string cases.
 
 These are referees for the beam search, kept deliberately independent of
-the instance tables (plain string scans only).  The DP planes are charged
-to ``probability.check_budget`` before they are allocated; two work caps
-bound the rest, and every refusal is a ``CapacityError``."""
+the instance tables (plain string scans only).  The DP rows and planes are
+charged to ``probability.check_budget`` before they are allocated; two work
+caps bound the rest, and every refusal is a ``CapacityError``."""
 
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 
@@ -19,9 +20,11 @@ ENUM_LEN_CAP = 20          # longest shortest string to enumerate: 2**20 subsets
 
 
 def lcs2_bytes(l1: int, l2: int) -> int:
-    """What `exact_lcs2` charges: its (l1+1)·(l2+1) int32 plane, 16 bytes a
-    symbol for a row's temporaries, the codes and the witness, and 4 KiB."""
-    return 4 * (l1 + 1) * (l2 + 1) + 16 * (l1 + l2) + 4096
+    """What `exact_lcs2` charges: l1+5 ints of l2+1 bits (rows, masks and temporaries)
+    sized from ``sys.int_info``, with list slots; 24 bytes a witness symbol; and 2 KiB."""
+    info = sys.int_info  # ints of at most 8 bits are cached
+    row = 0 if l2 <= 8 else sys.getsizeof(1) + info.sizeof_digit * (l2 // info.bits_per_digit)
+    return (l1 + 5) * (8 + row) + 24 * min(l1, l2) + 2048
 
 
 def lcs3_bytes(l2: int, l3: int) -> int:
@@ -32,36 +35,32 @@ def lcs3_bytes(l2: int, l3: int) -> int:
 
 
 def exact_lcs2(s1: str, s2: str):
-    """Classical two-string DP; returns (length, one witness)."""
-    check_budget(lcs2_bytes(len(s1), len(s2)), f"2-string DP of {len(s1)} x {len(s2)}")
-    a = np.frombuffer(s1.encode("utf-8"), dtype=np.uint8)
-    b = np.frombuffer(s2.encode("utf-8"), dtype=np.uint8)
-    if a.size != len(s1) or b.size != len(s2):
-        # non-ASCII symbols: fall back to per-character integer codes
-        pool = {ch: i for i, ch in enumerate(dict.fromkeys(s1 + s2))}
-        a = np.array([pool[ch] for ch in s1], dtype=np.int32)
-        b = np.array([pool[ch] for ch in s2], dtype=np.int32)
-    dp = np.zeros((len(s1) + 1, len(s2) + 1), dtype=np.int32)
-    for i in range(1, len(s1) + 1):
-        eq = (b == a[i - 1]).astype(np.int32)
-        np.maximum.accumulate(
-            np.maximum(dp[i - 1, 1:], dp[i - 1, :-1] + eq), out=dp[i, 1:]
-        )
-    length = int(dp[len(s1), len(s2)])
-    # traceback for one witness
-    witness = []
-    i, j = len(s1), len(s2)
+    """Two-string LCS by bit-vector rows (Allison & Dix 1986; Hyyrö 2004): bit j
+    of row i is set where dp(i, j+1) = dp(i, j).  Returns (length, one witness)."""
+    l1, l2 = len(s1), len(s2)
+    check_budget(lcs2_bytes(l1, l2), f"2-string DP of {l1} x {l2}")
+    last = {ch: i for i, ch in enumerate(s1)}
+    masks = dict.fromkeys(last, 0)  # a symbol absent from s2 keeps the cached 0
+    for j, ch in enumerate(s2):
+        if ch in masks:
+            masks[ch] |= 1 << j
+    rows = [(1 << l2) - 1] * (l1 + 1)  # row 0 is all ones; every row is kept
+    # a mask goes at its symbol's last use, so live masks never outnumber rows to come
+    for i, ch in enumerate(s1):
+        u = rows[i] & (masks[ch] if last[ch] > i else masks.pop(ch))
+        rows[i + 1] = ((rows[i] + u) | (rows[i] - u)) & rows[0]
+
+    def dp(i, j):
+        return j - (rows[i] & ((1 << j) - 1)).bit_count()
+
+    witness, i, j = [], l1, l2
     while i > 0 and j > 0:
-        if s1[i - 1] == s2[j - 1] and dp[i, j] == dp[i - 1, j - 1] + 1:
+        if s1[i - 1] == s2[j - 1]:  # a match extends the diagonal: dp(i-1, j-1) + 1
             witness.append(s1[i - 1])
-            i -= 1
-            j -= 1
-        elif dp[i - 1, j] >= dp[i, j - 1]:
-            i -= 1
+            i, j = i - 1, j - 1
         else:
-            j -= 1
-    witness.reverse()
-    return length, "".join(witness)
+            i, j = (i - 1, j) if dp(i - 1, j) >= dp(i, j - 1) else (i, j - 1)
+    return dp(l1, l2), "".join(reversed(witness))
 
 
 def exact_lcs3(s1: str, s2: str, s3: str) -> int:

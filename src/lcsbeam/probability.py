@@ -95,9 +95,14 @@ def check_budget(need: int, what: str) -> None:
     # kept a float: a finite budget past about 1.7e302 MiB is inf bytes and refuses nothing
     budget = mb * 1024 * 1024
     if need > budget:
+        # one decimal, or as many more as it takes for the need to read above
+        # the budget's whole bytes: seven places resolve one byte
+        for places in range(1, 8):
+            shown = f"{need / 2**20:.{places}f}", f"{math.floor(budget) / 2**20:.{places}f}"
+            if shown[0] != shown[1]:
+                break
         raise CapacityError(
-            f"{what}: {need / 2**20:.1f} MiB needed, "
-            f"budget is {budget / 2**20:.1f} MiB (set {TABLE_BUDGET_ENV})"
+            f"{what}: {shown[0]} MiB needed, budget is {shown[1]} MiB (set {TABLE_BUDGET_ENV})"
         )
 
 

@@ -6,6 +6,9 @@ Criteria (tolerances pinned here, nothing deferred):
   3. q-curve reproduction at n=200 via the probe subcommand
   4. beam validity + admissibility vs exact DP on 200 random instances,
      mean beam/exact >= 0.95 on the two-string calibration slice, < 2 min
+  4b. admissibility at bench length: every heuristic at beta=200, merging
+     off and on, stays within the exact 1956 of uncorr sigma=4, N=2,
+     len=3000, seed 1
   5. hyper-heuristic selection rule exact on 50 seeded instances
   6. generated-data substitute for the benchmark tables (original
      benchmark files not shipped): k-analytic beats k-guess on average
@@ -170,6 +173,31 @@ def test_criterion_4_oracle_admissibility(capsys):
     assert checked == 200
     assert mean_ratio >= 0.95
     assert elapsed < 120.0
+
+
+def test_criterion_4b_admissibility_at_bench_length(capsys):
+    inst, _ = gen_uncorrelated(4, 2, 3000, seed=1)
+    exact, _w = exact_lcs2(*inst.strings)
+    assert exact == 1956
+    lengths = {}
+    for merge in (False, True):
+        for name, spec in [("minlen", MINLEN), ("kguess", GUESS), ("kanalytic", UNCORR),
+                           ("gcov", GCOV), ("hh", UNCORR)]:
+            config = BeamConfig(heuristic=spec, beta=200, dominance_filter=merge)
+            if name == "hh":
+                report = hyper_heuristic(inst, config, UNCORR, GCOV)
+            else:
+                report = beam_search(inst, config)
+            assert verify_solution(inst, report.solution), (name, merge)
+            lengths[name, merge] = report.length
+    ok = max(lengths.values()) <= exact
+    announce(
+        capsys,
+        f"ACCEPTANCE 4b admissibility at bench length: {'PASS' if ok else 'FAIL'} "
+        f"(exact {exact}, beam {min(lengths.values())}-{max(lengths.values())} "
+        f"over {len(lengths)} runs)",
+    )
+    assert ok, lengths
 
 
 def test_criterion_5_hyper_heuristic_contract(capsys):

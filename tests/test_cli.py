@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcsbeam import cli
@@ -699,8 +699,10 @@ class TestOracleCommand:
     @pytest.mark.parametrize(
         "n,length,budget,refusal",
         [
-            (2, 4000, "1", "2-string DP of 4000 x 4000: 61.2 MiB needed, budget is 1.0 MiB"),
+            (2, 4000, "1", "2-string DP of 4000 x 4000: 2.3 MiB needed, budget is 1.0 MiB"),
             (3, 150, "0.1", "3-string DP planes of 150 x 150: 0.3 MiB needed, budget is 0.1 MiB"),
+            (3, 100, "0.1",
+             "3-string DP planes of 100 x 100: 0.13 MiB needed, budget is 0.10 MiB"),
             (3, 300, None, "3-string DP needs 27270901 cells, cap is 25000000"),
             (4, 21, None, "enumeration over a length-21 string exceeds the cap of 20"),
         ],
@@ -997,13 +999,17 @@ def assert_exit_class(argv, expected, prefix=None):
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(2, 4),
-    length=st.integers(0, 80),
+    short=st.integers(0, 80),  # the length of 3 or 4 strings: the 3-string DP is slow
+    long=st.integers(0, 500),  # the length of 2 strings
     sigma=st.integers(1, 4),
     method=st.sampled_from(["auto", "dp2", "dp3", "enum"]),
     seed=st.integers(0, 2**32),
     scale=st.sampled_from([0.5, 0.99, 1.0, 1.01, 2.0]),
 )
-def test_oracle_exit_code_matches_its_class(n, length, sigma, method, seed, scale):
+# the 2-string rows over a budget the tables fit, which random draws seldom reach
+@example(n=2, short=0, long=500, sigma=4, method="dp2", seed=1, scale=0.99)
+@example(n=2, short=0, long=200, sigma=1, method="auto", seed=2, scale=0.99)
+def test_oracle_exit_code_matches_its_class(n, short, long, sigma, method, seed, scale):
     """`oracle` on generated instances, under a budget on either side of the
     larger of two charges: the instance tables' and the planes' of the DP
     that runs.
@@ -1011,9 +1017,10 @@ def test_oracle_exit_code_matches_its_class(n, length, sigma, method, seed, scal
     The tables are charged first; then a method that does not fit the
     string count is a usage error (2); a DP whose planes are over the
     budget, and an enumeration over more than 20 symbols, are capacity
-    errors (3).  The tables' charge outweighs the 2-string plane's up to
-    35-44 symbols, so lengths run past that.
+    errors (3).  The tables' charge outweighs the 2-string rows' up to
+    179-419 symbols for sigma 1-4, so two strings run to 500 symbols.
     """
+    length = long if n == 2 else short
     runs = {2: "dp2", 3: "dp3"}.get(n, "enum") if method == "auto" else method
     tables = table_budget_bytes(n, length, sigma)
     planes = {"dp2": lcs2_bytes(length, length), "dp3": lcs3_bytes(length, length)}.get(runs, 0)

@@ -1,12 +1,17 @@
 """Exact-solver referee tests; expected lengths verified by independent
 in-test enumeration over subsequences."""
 
+import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lcsbeam.datasets import gen_uncorrelated
 from lcsbeam.oracle import exact_lcs2, exact_lcs3, exhaustive_lcs, lcs2_bytes, lcs3_bytes
 from lcsbeam.probability import CapacityError
 
@@ -60,6 +65,57 @@ class TestExactLcs2:
             length, witness = exact_lcs2(a, b)
             assert length == brute_force([a, b])
             assert len(witness) == length
+
+    # (length, sha256 prefix of the witness) as the int32 DP plane gave them,
+    # so the traceback's tie rule cannot drift
+    @pytest.mark.parametrize(
+        "seed,length,digest",
+        [(1, 189, "ab76e218e5eb64ab"), (2, 192, "719a990fa281cf1f"),
+         (3, 194, "e5f4479906f9b185"), (4, 192, "b121e53d9b029062"),
+         (5, 193, "04091cc47f21b0bd")],
+    )
+    def test_pinned_witness(self, seed, length, digest):
+        pair = gen_uncorrelated(4, 2, 300, seed)[0].strings
+        found, witness = exact_lcs2(*pair)
+        assert (found, hashlib.sha256(witness.encode()).hexdigest()[:16]) == (length, digest)
+
+    def test_pinned_witness_non_ascii(self):
+        rng = random.Random(2024)
+        a, b = "".join(rng.choices("aéxø中ß", k=250)), "".join(rng.choices("aéxø中€", k=280))
+        found, witness = exact_lcs2(a, b)
+        assert (found, hashlib.sha256(witness.encode()).hexdigest()[:16]) == (
+            128, "2a74f46eb6888c6f")
+
+
+def is_subsequence(pattern, s):
+    it = iter(s)
+    return all(ch in it for ch in pattern)
+
+
+@st.composite
+def string_pairs(draw):
+    """Two strings over sigma 1-26 symbols of one of three alphabets, some
+    drawn from letters the other string never uses."""
+    alphabet = draw(st.sampled_from(["ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+                                     "aéxøßçñüöäàèìòùÿ中文字母表日本語한국",
+                                     "0123456789abcdefghijklmnop"]))
+    letters = draw(st.permutations(alphabet))[:draw(st.integers(1, 26))]
+    split = draw(st.integers(0, len(letters)))
+    own = [letters, letters[split:] or letters]  # b may lack the first `split` letters
+    return tuple("".join(draw(st.lists(st.sampled_from(pool), max_size=200)))
+                 for pool in own)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=string_pairs())
+def test_lcs2_length_and_witness(pair):
+    """The bit-vector length equals the 3-string DP's on (a, b, b), and the
+    witness is a common subsequence of that length."""
+    a, b = pair
+    length, witness = exact_lcs2(a, b)
+    assert length == exact_lcs3(a, b, b)
+    assert len(witness) == length
+    assert is_subsequence(witness, a) and is_subsequence(witness, b)
 
 
 class TestExactLcs3:
@@ -149,11 +205,11 @@ class TestLimits:
         [((0, 0), "ACGT"), ((0, 50), "ACGT"), ((50, 0), "ACGT"), ((100, 100), "ACGT"),
          ((20, 300), "ACGT"), ((300, 20), "ACGT"), ((1000, 3000), "ACGT"),
          ((3000, 1000), "ACGT"),
-         ((300, 300), "aéxø")],  # non-ASCII: int32 codes
+         ((300, 300), "aéxø")],  # non-ASCII
     )
     def test_lcs2_charge_covers_traced_peak(self, lengths, alphabet):
-        # the int32 plane is most of the peak: the charge lies between the
-        # traced peak and twice it, plus the 4 KiB of fixed objects
+        # the l1+1 bit-vector rows are most of the peak: the charge lies
+        # between the traced peak and twice it, plus 4 KiB of fixed objects
         peak = traced_peak(exact_lcs2, *random_strings(7, alphabet, *lengths))
         assert peak <= lcs2_bytes(*lengths) <= 2 * peak + 4096
 
@@ -175,8 +231,12 @@ class TestLimits:
                                                     what):
         strings = random_strings(5, "ACGT", *lengths)
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", repr((charge - 1) / 2**20))
-        with pytest.raises(CapacityError, match=f"^{what}: {charge / 2**20:.1f} MiB needed, "):
+        with pytest.raises(CapacityError, match=f"^{what}: ") as refused:
             solve(*strings)
+        # the need is printed to as many places as it takes to read above the budget
+        need, budget = re.search(r"([0-9.]+) MiB needed, budget is ([0-9.]+) MiB",
+                                 str(refused.value)).groups()
+        assert float(budget) < float(need) == pytest.approx(charge / 2**20, abs=0.05)
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", repr(charge / 2**20))
         solve(*strings)
 

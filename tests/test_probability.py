@@ -8,6 +8,7 @@ against each other and against those oracles.
 
 import itertools
 import math
+import re
 import sys
 import threading
 import warnings
@@ -167,6 +168,21 @@ class TestBudget:
         # 1e305 MiB is past the float range in bytes
         monkeypatch.setenv("LCSBEAM_TABLE_BUDGET_MB", "1e305")
         check_budget(2**62, "a table")
+
+    @settings(max_examples=100, deadline=None)
+    @given(mb=st.floats(1e-4, 1e6), over=st.integers(1, 2**20))
+    def test_refusal_reads_above_the_budget(self, mb, over):
+        # a need just over the budget prints as more than it, not as the same
+        # number: 0.1 MiB against 0.1 MiB was printed at one decimal
+        need = math.floor(mb * 2**20) + over
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("LCSBEAM_TABLE_BUDGET_MB", repr(mb))
+            with pytest.raises(CapacityError) as refused:
+                check_budget(need, "a table")
+        shown = re.match(r"a table: ([0-9.]+) MiB needed, budget is ([0-9.]+) MiB",
+                         str(refused.value))
+        assert float(shown[1]) > float(shown[2]), str(refused.value)
+        assert math.isclose(float(shown[1]), need / 2**20, rel_tol=0.05, abs_tol=0.05)
 
 
 class TestTabularInputs:
